@@ -30,8 +30,19 @@ from .denumerant import (
     split_by_part,
     table_capacity,
 )
-from .errors import CapacityError, GenfrobError, InvalidInputError, RangeOverflowError
-from .exactint import CheckedInt, ceil_div, checked_add, checked_mul, checked_sub, gcd, gcd_fold, lcm, lcm_fold
+from .errors import CapacityError, GenfrobError, InvalidInputError, InvariantError, RangeOverflowError
+from .exactint import (
+    CheckedInt,
+    ceil_div,
+    checked_add,
+    checked_mul,
+    checked_sub,
+    floor_sum,
+    gcd,
+    gcd_fold,
+    lcm,
+    lcm_fold,
+)
 from .frobenius import (
     GenFrobResult,
     beck_kifer_reduce,
@@ -76,12 +87,14 @@ __all__ = [
     "CapacityError",
     "GenfrobError",
     "InvalidInputError",
+    "InvariantError",
     "RangeOverflowError",
     "CheckedInt",
     "ceil_div",
     "checked_add",
     "checked_mul",
     "checked_sub",
+    "floor_sum",
     "gcd",
     "gcd_fold",
     "lcm",

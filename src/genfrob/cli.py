@@ -10,12 +10,14 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 from .closedform import detect_cases, table_rows, u_set_prefix
 from .denumerant import Coins, denumerant
 from .errors import CapacityError, InvalidInputError, RangeOverflowError
+from .exactint import require_i64
 from .frobenius import (
     METHOD_CLOSED_FORM,
     METHOD_TWO_VAR,
@@ -30,27 +32,27 @@ EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 
 DEFAULT_S_RANGE = "0..5,100,10000"
+# Each row costs O(log s), so the number of rows, not the size of s,
+# bounds the run time of a theorem1 table.
+MAX_S_ROWS = 100_000
 
 
 def _parse_s_values(text: str) -> list[int]:
-    """``a..b,extra,...`` into a strictly increasing list of s values."""
-    values: list[int] = []
+    """``a..b,extra,...`` into a strictly increasing list of at most MAX_S_ROWS s values."""
+    ranges = []
     try:
         for piece in text.split(","):
-            piece = piece.strip()
-            if ".." in piece:
-                lo, hi = piece.split("..", 1)
-                values.extend(range(int(lo), int(hi) + 1))
-            else:
-                values.append(int(piece))
+            lo, dots, hi = piece.strip().partition("..")
+            ranges.append((int(lo), int(hi) if dots else int(lo)))
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse s range {text!r}: {exc}") from None
+    if sum(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_S_ROWS:
+        raise InvalidInputError(f"s range {text!r} expands to more than {MAX_S_ROWS} values")
+    values = [s for lo, hi in ranges for s in range(lo, hi + 1)]
     if not values or values[0] < 0:
         raise InvalidInputError("s values must be non-empty and non-negative")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInputError("s values must be strictly increasing")
-    if values[-1] > 10**7:
-        raise InvalidInputError("s values above 10^7 are not supported by the table walk")
     return values
 
 
@@ -60,19 +62,12 @@ def _cmd_denumerant(args) -> int:
     return EXIT_OK
 
 
-def _sigma_match(coins: Coins, s: int, max_steps: int = 2_000_000):
-    """(case, s') with case.sigma(s') == s, or None.  Cases tried in pivot order.
-
-    The walk is capped; beyond it the caller falls back to brute force,
-    which reports capacity limits properly for astronomically large s.
-    """
+def _sigma_match(coins: Coins, s: int):
+    """(case, s') with case.sigma(s') == s, or None.  Cases tried in pivot order."""
     for case in detect_cases(coins):
-        total, j = 0, 0
-        while total < s and j < max_steps:
-            j += 1
-            total += -(-(j * case.num) // case.den)
-        if total == s:
-            return case, j
+        inner_s = case.index_of(s)
+        if inner_s is not None:
+            return case, inner_s
     return None
 
 
@@ -82,6 +77,7 @@ def _cmd_frobenius(args) -> int:
         raise InvalidInputError("g(A; s) requires overall gcd 1")
     if args.s < 0:
         raise InvalidInputError("s must be non-negative")
+    require_i64(args.s, "s")  # a sigma index, like every count, is a 64-bit value
     value, method, window = None, None, None
     if args.method in ("auto", "closed"):
         if len(coins) == 2:
@@ -208,9 +204,10 @@ def _cmd_verify(args) -> int:
         kwargs["samples"] = args.samples
         kwargs["seed"] = args.seed
     try:
-        report = runner(**kwargs)
+        inspect.signature(runner).bind(**kwargs)
     except TypeError as exc:
         raise InvalidInputError(f"bounds not applicable to suite {args.suite!r}: {exc}") from None
+    report = runner(**kwargs)
     if args.format == "jsonl":
         text = "\n".join(report.to_json_lines()) + "\n"
     else:

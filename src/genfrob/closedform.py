@@ -7,8 +7,9 @@ the gcd of the two non-pivot parts.  Each such configuration pins
     g(A; sigma(s)) = (s+1) * (product of non-pivot parts)/d + ai*d - a1 - a2 - a3
 
 at the cumulative index sigma(s) = sum_{j=0..s} ceil(j * num / den) with
-num/den = (product of non-pivot parts) / (ai * d^2).  All arithmetic is
-exact; every division is checked to be remainder-free.
+num/den = (product of non-pivot parts) / (ai * d^2), one floor_sum call
+(O(log s)); its inverse is a doubling-plus-bisection search.  All
+arithmetic is exact; every division is checked to be remainder-free.
 
 Also here: the union of the three index sequences (which counts are ever
 pinned), and the specializations to consecutive triangular numbers, to
@@ -20,19 +21,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from .denumerant import Coins
-from .errors import InvalidInputError
-from .exactint import ceil_div, gcd, require_i64
+import numpy as np
+
+from .denumerant import Coins, table_capacity
+from .errors import CapacityError, InvalidInputError, InvariantError
+from .exactint import I64_MAX, floor_sum, gcd, require_i64
 
 
 def _cumulative_ceil(num: int, den: int, s: int) -> int:
-    """sum(ceil(j*num/den) for j in 0..s); strictly increasing for num >= 1."""
+    """sum(ceil(j*num/den) for j in 0..s), exact and not narrowed.
+
+    ceil(j*num/den) == floor((j*num + den - 1)/den), so the sum is a single
+    floor_sum call, O(log) in s.  Strictly increasing in s for num >= 1.
+    """
     if s < 0:
         raise InvalidInputError("s must be non-negative")
-    total = 0
-    for j in range(1, s + 1):
-        total += ceil_div(j * num, den)
-    return require_i64(total, "sigma index")
+    return floor_sum(s + 1, den, num, den - 1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,31 @@ class ClosedFormCase:
 
     def sigma(self, s: int) -> int:
         """The cumulative ceiling index paired with :meth:`value` at the same s."""
-        return _cumulative_ceil(self.num, self.den, s)
+        return require_i64(_cumulative_ceil(self.num, self.den, s), "sigma index")
+
+    def sigma_inverse(self, target: int) -> int:
+        """Smallest s >= 0 with sigma(s) >= target.
+
+        Doubling brackets s, then a binary search pins it: O(log s) sigma
+        evaluations, each exact, so a target near the 64-bit limit is safe.
+        """
+        num, den = self.num, self.den
+        hi = 1
+        while _cumulative_ceil(num, den, hi) < target:
+            hi *= 2
+        lo = hi // 2 + 1 if hi > 1 else 0  # sigma(hi // 2) < target
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _cumulative_ceil(num, den, mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def index_of(self, target: int) -> int | None:
+        """The s with sigma(s) == target, or None if target is not in the index family."""
+        s = self.sigma_inverse(target)
+        return s if _cumulative_ceil(self.num, self.den, s) == target else None
 
     def value(self, s: int) -> int:
         """g(A; sigma(s)), evaluated without any rounding."""
@@ -64,7 +92,8 @@ class ClosedFormCase:
             raise InvalidInputError("s must be non-negative")
         x, y = self.other_values
         q, r = divmod(x * y, self.d)
-        assert r == 0  # d divides each non-pivot part, hence their product
+        if r:  # d divides each non-pivot part, hence their product
+            raise InvariantError(f"d={self.d} does not divide the non-pivot product {x * y}")
         v = (s + 1) * q + self.pivot_value * self.d - sum(self.coins.parts)
         return require_i64(v, "closed-form value")
 
@@ -111,49 +140,64 @@ def detect_cases(coins) -> tuple[ClosedFormCase, ...]:
 
 
 def table_rows(case: ClosedFormCase, s_values) -> list[Row]:
-    """Rows (s, sigma, g) for strictly increasing s values, one sigma walk."""
+    """Rows (s, sigma, g) for strictly increasing s values, O(log s) per row."""
     s_values = list(s_values)
     if not s_values or any(b <= a for a, b in zip(s_values, s_values[1:])):
         raise InvalidInputError("s values must be non-empty and strictly increasing")
     if s_values[0] < 0:
         raise InvalidInputError("s must be non-negative")
-    rows = []
-    total, j = 0, 0
-    for s in s_values:
-        while j < s:
-            j += 1
-            total += ceil_div(j * case.num, case.den)
-        rows.append(Row(s, require_i64(total, "sigma index"), case.value(s)))
-    return rows
+    return [Row(s, case.sigma(s), case.value(s)) for s in s_values]
 
 
-def _index_sequences(coins, s_max: int) -> list[list[int]]:
+def _index_sequences(coins, s_max: int) -> list[np.ndarray]:
+    """The three index sequences sigma_i(0..s_max) as strictly increasing int64 arrays."""
     coins = _three_parts(coins)
     if s_max < 0:
         raise InvalidInputError("s_max must be non-negative")
+    cap = table_capacity()
+    if s_max + 1 > cap:  # each sequence is an array of s_max + 1 entries
+        raise CapacityError(f"index sequences of {s_max + 1} entries exceed capacity {cap}")
     a = coins.parts
     sequences = []
     for i in range(3):
         j, k = (x for x in range(3) if x != i)
         d = gcd(a[j], a[k])
         num, den = a[j] * a[k], a[i] * d * d
-        seq = [0]
-        total = 0
-        for s in range(1, s_max + 1):
-            total += ceil_div(s * num, den)
-            seq.append(require_i64(total, "sigma index"))
-        sequences.append(seq)
+        shrink = gcd(num, den)
+        num, den = num // shrink, den // shrink
+        # the last index is the largest, so every term and partial sum fits
+        require_i64(_cumulative_ceil(num, den, s_max), "sigma index")
+        if s_max * num + den - 1 <= I64_MAX:
+            steps = np.arange(s_max + 1, dtype=np.int64) * num
+            steps += den - 1
+            steps //= den
+        else:  # t*num would leave int64: exact Python ints for this sequence
+            steps = np.array([(t * num + den - 1) // den for t in range(s_max + 1)], dtype=np.int64)
+        sequences.append(np.cumsum(steps, out=steps))
     return sequences
+
+
+def _sorted_union(arrays) -> np.ndarray:
+    """Sorted distinct values of sorted int64 arrays.
+
+    Sort plus adjacent dedupe is far cheaper than np.unique here, and the
+    stable sort (a merge sort) joins the already sorted runs in linear time.
+    """
+    merged = np.sort(np.concatenate(arrays), kind="stable")
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def u_set(coins, s_max: int) -> tuple[int, ...]:
     """Sorted union of the three index sequences, each truncated at s_max.
 
     All three divisors d_i are used whether or not the corresponding
-    divisibility condition holds.
+    divisibility condition holds.  Each sequence is an int64 array of
+    s_max + 1 entries, so s_max + 1 is held to the table capacity.
     """
-    sequences = _index_sequences(coins, s_max)
-    return tuple(sorted(set().union(*sequences)))
+    return tuple(_sorted_union(_index_sequences(coins, s_max)).tolist())
 
 
 def u_set_prefix(coins, s_max: int) -> tuple[tuple[int, ...], int]:
@@ -164,9 +208,9 @@ def u_set_prefix(coins, s_max: int) -> tuple[tuple[int, ...], int]:
     later; bound is that maximum.
     """
     sequences = _index_sequences(coins, s_max)
-    bound = min(seq[-1] for seq in sequences)
-    merged = sorted(set().union(*sequences))
-    return tuple(v for v in merged if v <= bound), bound
+    bound = min(int(seq[-1]) for seq in sequences)
+    kept = [seq[: np.searchsorted(seq, bound, side="right")] for seq in sequences]
+    return tuple(_sorted_union(kept).tolist()), bound
 
 
 def triangular(n: int) -> int:
@@ -178,7 +222,8 @@ def triangular(n: int) -> int:
 
 def _exact_quarter(value: int) -> int:
     q, r = divmod(value, 4)
-    assert r == 0
+    if r:
+        raise InvariantError(f"{value} is not a multiple of 4")
     return q
 
 
@@ -208,18 +253,25 @@ def triangular_frobenius(
         d = gcd(t0, t1)
         num, den = t0 * t1, t2 * d * d
         value = (s + 1) * (t0 * t1 // d) + t2 * d - total
-    sigma = _cumulative_ceil(num, den, s)
+    sigma = require_i64(_cumulative_ceil(num, den, s), "sigma index")
     value = require_i64(value, "closed-form value")
     if variant == "first":
         if n % 2 == 0:
             alt_value = _exact_quarter((n + 1) * (n + 2) * (2 * s * (n + 3) + 3 * n)) - 1
-            alt_sigma = s * (s + 1) + sum(ceil_div(6 * j, n) for j in range(1, s + 1))
-            assert (sigma, value) == (alt_sigma, alt_value)
+            alt_sigma = s * (s + 1) + _cumulative_ceil(6, n, s)
+            _require_same_presentation(n, s, (sigma, value), (alt_sigma, alt_value))
         elif n >= 3:
             alt_value = _exact_quarter((n + 1) * (n + 2) * ((n + 3) * s + 3 * (n - 1))) - 1
-            alt_sigma = sum(ceil_div(j * (n + 3), 2 * n) for j in range(1, s + 1))
-            assert (sigma, value) == (alt_sigma, alt_value)
+            alt_sigma = _cumulative_ceil(n + 3, 2 * n, s)
+            _require_same_presentation(n, s, (sigma, value), (alt_sigma, alt_value))
     return sigma, value
+
+
+def _require_same_presentation(n: int, s: int, direct, factored) -> None:
+    if direct != factored:
+        raise InvariantError(
+            f"triangular n={n} s={s}: (sigma, g) {direct} != factored form {factored}"
+        )
 
 
 def pairwise_coprime_frobenius(m1: int, m2: int, m3: int, n: int) -> int:
@@ -227,7 +279,7 @@ def pairwise_coprime_frobenius(m1: int, m2: int, m3: int, n: int) -> int:
 
     The product tuple always admits the pivot-1 configuration with index
     coefficient exactly 1, so the paired index is the n-th triangular
-    number; that structure is asserted.
+    number; that structure is checked.
     """
     for m in (m1, m2, m3):
         if m < 1:
@@ -242,8 +294,10 @@ def pairwise_coprime_frobenius(m1: int, m2: int, m3: int, n: int) -> int:
     )
     coins = Coins((m2 * m3, m1 * m3, m1 * m2))
     case = next(c for c in detect_cases(coins) if c.pivot == 1)
-    assert case.num == case.den == 1  # hence case.sigma(n) == triangular(n)
-    assert case.value(n) == value
+    if not case.num == case.den == 1:  # hence case.sigma(n) == triangular(n)
+        raise InvariantError(f"pivot-1 index coefficient {case.num}/{case.den} is not 1")
+    if case.value(n) != value:
+        raise InvariantError(f"closed form {case.value(n)} != product formula {value}")
     return value
 
 
@@ -253,8 +307,8 @@ def one_a_b_frobenius(a: int, b: int, s: int) -> tuple[int, int]:
         raise InvalidInputError("parts must be positive")
     if s < 0:
         raise InvalidInputError("s must be non-negative")
-    sigma = _cumulative_ceil(b, a, s)
     value = require_i64(s * b - 1, "closed-form value")
     case = next(c for c in detect_cases(Coins((1, a, b))) if c.pivot == 2)
-    assert case.value(s) == value
-    return sigma, value
+    if case.value(s) != value:
+        raise InvariantError(f"closed form {case.value(s)} != s*b - 1 = {value}")
+    return case.sigma(s), value

@@ -3,8 +3,9 @@
 d(n; A) is the number of non-negative integer solutions of
 ``a1*x1 + ... + ak*xk == n``.  Strategies: the DP table built by the
 counting kernel, a direct congruence count for two coprime parts, and the
-splitting identity that peels one part off a larger tuple.  All strategies
-agree exactly; counts are 64-bit with overflow signalled.
+splitting identity that peels one part off a larger tuple (for three parts
+past the table capacity it is summed in closed form, O(log n)).  All
+strategies agree exactly; counts are 64-bit with overflow signalled.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import CapacityError, InvalidInputError
-from .exactint import gcd, gcd_fold, require_i64
+from .errors import CapacityError, InvalidInputError, InvariantError
+from .exactint import floor_sum, gcd, gcd_fold, require_i64
 
 DEFAULT_MAX_TABLE = 10**7
 CAPACITY_ENV = "GENFROB_MAX_TABLE"
@@ -179,23 +180,42 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
 
 
 def _split_large(n: int, parts: tuple[int, ...]) -> int:
-    # Peel off the largest part; the remaining pair is counted per term.
-    # Only multiples of h = gcd(pair) can be hit, so j steps through one
-    # residue class mod h (gcd(a, h) == 1 because the overall gcd is 1).
+    """d(n; a, b, c) for overall gcd 1 as a closed sum, O(log n).
+
+    Peel the largest part a: d(n) = sum_j d(n - j*a; b, c).  Only multiples
+    of h = gcd(b, c) can be hit, so j runs over one residue class mod h
+    (gcd(a, h) == 1 because the overall gcd is 1), and each term is the
+    count of m = (n - j*a)/h over the coprime pair b' = b/h, c' = c/h.
+    Popoviciu's formula gives that count as
+    ``(m - b'*(b'^-1 m mod c') - c'*(c'^-1 m mod b')) / (b'c') + 1``;
+    the m run along an arithmetic progression, so each sum is one
+    floor_sum call.
+    """
     i = max(range(3), key=lambda idx: parts[idx])
     a = parts[i]
     b, c = (parts[j] for j in range(3) if j != i)
     h = gcd(b, c)
     bb, cc = b // h, c // h
-    if h == 1:
-        j0, step = 0, 1
-    else:
-        j0 = (n * pow(a % h, -1, h)) % h
-        step = h
-    total = 0
-    for j in range(j0, n // a + 1, step):
-        total += denumerant_two((n - j * a) // h, bb, cc)
-    return require_i64(total, "denumerant")
+    j0 = (n * pow(a % h, -1, h)) % h if h > 1 else 0
+    j_top = n // a
+    if j0 > j_top:
+        return 0
+    terms = (j_top - j0) // h + 1
+    first = (n - j0 * a) // h  # m_t = first - a*t for t in range(terms)
+    sum_m = terms * first - a * (terms * (terms - 1) // 2)
+    sum_rc = _sum_mod_progression(terms, cc, pow(bb, -1, cc), first, -a)
+    sum_rb = _sum_mod_progression(terms, bb, pow(cc, -1, bb), first, -a)
+    q, r = divmod(sum_m - bb * sum_rc - cc * sum_rb, bb * cc)
+    if r:
+        raise InvariantError(f"Popoviciu sum for d({n}; {parts}) is not divisible by {bb * cc}")
+    return require_i64(q + terms, "denumerant")
+
+
+def _sum_mod_progression(terms: int, modulus: int, factor: int, first: int, step: int) -> int:
+    """sum((factor * (first + step*t)) % modulus for t in range(terms))."""
+    start, stride = factor * first % modulus, factor * step % modulus
+    linear = terms * start + stride * (terms * (terms - 1) // 2)
+    return linear - modulus * floor_sum(terms, modulus, stride, start)
 
 
 def split_by_part(m: int, a1: int, rest, *, max_table: int | None = None) -> int:

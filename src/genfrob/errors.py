@@ -15,3 +15,10 @@ class CapacityError(GenfrobError, RuntimeError):
 
 class RangeOverflowError(GenfrobError, OverflowError):
     """An exact integer result falls outside the supported 64-bit range."""
+
+
+class InvariantError(GenfrobError, AssertionError):
+    """An internal self-check failed: a defect in the package, not bad input.
+
+    Raised explicitly rather than by ``assert``, so ``python -O`` keeps it.
+    """

@@ -9,9 +9,10 @@ mirrors how the hot kernels hold products of two 64-bit values.
 
 Usage:
 
-    from genfrob.exactint import ceil_div, checked_mul, gcd, lcm
+    from genfrob.exactint import ceil_div, checked_mul, floor_sum, require_i64
 
-    sigma += ceil_div(checked_mul(j, num), den)   # raises instead of wrapping
+    q = ceil_div(checked_mul(j, num), den)        # raises instead of wrapping
+    sigma = require_i64(floor_sum(s + 1, den, num, den - 1))
 """
 
 from __future__ import annotations
@@ -108,6 +109,34 @@ def ceil_div(num: int, den: int) -> int:
     _require_i128(num, "numerator")
     require_i64(den, "denominator")
     return require_i64(-(-num // den), "ceiling quotient")
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Exact ``sum(floor((a*i + b) / m) for i in range(n))`` in O(log m) steps.
+
+    The Euclid-like reduction of the AtCoder Library's ``floor_sum``:
+    ``n >= 0`` and ``m >= 1``; ``a`` and ``b`` may be any integers.  The
+    result is an unbounded Python int; callers narrow it.
+    """
+    for name, value in (("n", n), ("m", m), ("a", a), ("b", b)):
+        if not isinstance(value, int):
+            raise InvalidInputError(f"floor_sum requires integer {name}, got {type(value).__name__}")
+    if n < 0:
+        raise InvalidInputError("floor_sum requires n >= 0")
+    if m < 1:
+        raise InvalidInputError("floor_sum requires m >= 1")
+    total = 0
+    while True:
+        # divmod floors, so negative a and b reduce into [0, m) as well
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
 
 class CheckedInt:

@@ -23,7 +23,7 @@ import numpy as np
 from .closedform import detect_cases
 from .denumerant import Coins, denumerant, denumerant_series
 from .errors import InvalidInputError
-from .exactint import ceil_div, gcd, gcd_fold
+from .exactint import gcd, gcd_fold
 from .frobenius import gen_frobenius_brute, gen_frobenius_two
 
 
@@ -194,11 +194,8 @@ def cross_check_theorem1(
             continue
         coins = Coins(parts)
         for case in detect_cases(coins):
-            sigma, j = 0, 0
             for s in range(s_bound + 1):
-                while j < s:
-                    j += 1
-                    sigma += ceil_div(j * case.num, case.den)
+                sigma = case.sigma(s)
                 expected = case.value(s)
                 got = gen_frobenius_brute(
                     coins, sigma, max_table=max_table,

@@ -1,10 +1,13 @@
 """CLI behavior: golden outputs, exit codes, format agreement."""
 
 import json
+import time
 
 import pytest
 
-from genfrob.cli import main
+from genfrob.cli import MAX_S_ROWS, main
+from genfrob.closedform import one_a_b_frobenius
+from oracles import numpy_peel_count
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +173,24 @@ class TestTheorem1:
         code, _, _ = run_cli(capsys, "theorem1", "--tuple", "10,15,21", "--s", "5..1")
         assert code == 2
 
+    def test_s_beyond_ten_million(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "theorem1", "--tuple", "10,15,21", "--s", "0,1000000000", "--format", "json"
+        )
+        assert code == 0
+        rows = {case["pivot"]: case["rows"] for case in json.loads(out)["cases"]}[1]
+        s = 10**9
+        # pivot 1 steps by 7/2: sigma(s) = (7*s(s+1)/2 + ceil(s/2)) / 2
+        assert rows[1] == {"s": s, "sigma": (7 * s * (s + 1) // 2 + (s + 1) // 2) // 2, "g": 105 * s + 89}
+
+    def test_over_long_range_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "theorem1", "--tuple", "10,15,21", "--s", f"0..{MAX_S_ROWS}"
+        )
+        assert code == 2 and "more than" in err
+        code, _, _ = run_cli(capsys, "theorem1", "--tuple", "10,15,21", "--s", "0..1000000000000")
+        assert code == 2
+
 
 class TestUset:
     def test_golden_prefix(self, capsys):
@@ -235,6 +256,20 @@ class TestVerify:
         assert code == 1
         assert "1 failures" in out and "FAIL" in out
 
+    def test_bounds_outside_the_runner_signature_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "twovar", "--max-c", "5")
+        assert code == 2 and "not applicable" in err
+
+    def test_type_error_inside_a_suite_propagates(self, capsys, monkeypatch):
+        from genfrob import cli
+
+        def buggy_runner(max_part=20, max_s=3):
+            return max_part + "oops"  # a defect, not bad input
+
+        monkeypatch.setitem(cli.SUITES, "lemma2", buggy_runner)
+        with pytest.raises(TypeError):
+            main(["verify", "--suite", "lemma2", "--max-part", "4"])
+
     def test_sampled_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "lemma2", "--max-part", "10", "--max-s", "2",
@@ -242,6 +277,35 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out.splitlines()[0])["passed"] is True
+
+
+class TestBoundedTime:
+    """Inputs that once ran without bound or fell back to brute force."""
+
+    def test_three_part_count_at_a_billion(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "denumerant", "--tuple", "2,3,5", "--n", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "16666666833333334\n"
+
+    def test_three_part_count_against_a_different_peel(self, capsys):
+        code, out, _ = run_cli(capsys, "denumerant", "--tuple", "2,3,5", "--n", "100000000")
+        assert code == 0
+        assert int(out) == numpy_peel_count(10**8, (2, 3, 5), peel=1)
+
+    def test_closed_form_at_a_large_sigma_index(self, capsys):
+        s_inner = 3 * 10**6
+        sigma, g = one_a_b_frobenius(7, 11, s_inner)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "frobenius", "--tuple", "1,7,11", "--s", str(sigma))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines() == [str(s_inner * 11 - 1), "method: theorem1"]
+        assert g == s_inner * 11 - 1
+
+    def test_s_beyond_64_bits_exits_3(self, capsys):
+        code, _, _ = run_cli(capsys, "frobenius", "--tuple", "10,15,21", "--s", str(2**64))
+        assert code == 3
 
 
 class TestDeterminism:

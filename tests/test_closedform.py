@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genfrob.closedform import (
+    ClosedFormCase,
+    _exact_quarter,
     detect_cases,
     one_a_b_frobenius,
     pairwise_coprime_frobenius,
@@ -12,10 +16,11 @@ from genfrob.closedform import (
     u_set,
     u_set_prefix,
 )
-from genfrob.denumerant import denumerant_series
-from genfrob.errors import InvalidInputError
-from genfrob.exactint import gcd
+from genfrob.denumerant import Coins, denumerant_series
+from genfrob.errors import CapacityError, InvalidInputError, InvariantError, RangeOverflowError
+from genfrob.exactint import I64_MAX, gcd, gcd_fold
 from genfrob.frobenius import gen_frobenius_brute
+from oracles import naive_sigma, naive_sigma_inverse, naive_u_set
 
 TABLE_S = [0, 1, 2, 3, 4, 5, 100, 10**4]
 
@@ -82,7 +87,82 @@ class TestFlagshipTables:
             table_rows(case, [-1, 2])
 
 
+def _closed_form_triples(rng, count, bound):
+    triples = []
+    while len(triples) < count:
+        parts = tuple(rng.randint(1, bound) for _ in range(3))
+        if gcd_fold(parts) == 1 and detect_cases(parts):
+            triples.append(parts)
+    return triples
+
+
+class TestSigmaEngine:
+    """floor-sum sigma and its inverse against the term-by-term walk."""
+
+    def test_sigma_matches_walk(self):
+        rng = random.Random(11)
+        for parts in _closed_form_triples(rng, 60, 60):
+            for case in detect_cases(parts):
+                for s in (0, 1, 2, 3, rng.randint(4, 400)):
+                    assert case.sigma(s) == naive_sigma(case.num, case.den, s), (parts, s)
+
+    def test_inverse_matches_walk(self):
+        rng = random.Random(12)
+        for parts in _closed_form_triples(rng, 30, 40):
+            for case in detect_cases(parts):
+                top = case.sigma(30)
+                for target in list(range(-2, 25)) + [rng.randint(25, top) for _ in range(10)]:
+                    s = case.sigma_inverse(target)
+                    assert s == naive_sigma_inverse(case.num, case.den, target), (parts, target)
+                    hit = case.index_of(target)
+                    if naive_sigma(case.num, case.den, s) == target:
+                        assert hit == s
+                    else:
+                        assert hit is None
+
+    def test_inverse_near_the_64_bit_limit(self):
+        case = detect_cases((10, 15, 21))[0]
+        s = case.sigma_inverse(I64_MAX)
+        assert case.sigma(s - 1) < I64_MAX
+        with pytest.raises(RangeOverflowError):
+            case.sigma(s)  # the first index past the target no longer fits
+        assert case.index_of(I64_MAX) is None
+
+    def test_sigma_overflow_raises(self):
+        case = detect_cases((10, 15, 21))[0]
+        with pytest.raises(RangeOverflowError):
+            case.sigma(10**10)
+
+
 class TestUSet:
+    def test_matches_naive_union(self):
+        rng = random.Random(13)
+        for parts in [tuple(rng.randint(1, 80) for _ in range(3)) for _ in range(40)]:
+            for s_max in (0, 1, rng.randint(2, 200)):
+                union, bound = naive_u_set(parts, s_max)
+                assert list(u_set(parts, s_max)) == union
+                assert u_set_prefix(parts, s_max) == (tuple(v for v in union if v <= bound), bound)
+
+    def test_parts_near_2_40_take_the_exact_branch(self):
+        parts = (2**40 + 1, 2**40 + 2, 2**40 + 3)
+        s_max = 60
+        # every product s_max * num leaves int64, so no sequence fits the numpy path
+        assert min(parts[0] * parts[1], parts[0] * parts[2], parts[1] * parts[2]) * s_max > I64_MAX
+        union, bound = naive_u_set(parts, s_max)
+        assert list(u_set(parts, s_max)) == union
+        assert u_set_prefix(parts, s_max) == (tuple(v for v in union if v <= bound), bound)
+
+    def test_s_max_beyond_table_capacity_raises(self, monkeypatch):
+        monkeypatch.setenv("GENFROB_MAX_TABLE", "100")
+        assert u_set((10, 15, 21), 99)
+        with pytest.raises(CapacityError):
+            u_set((10, 15, 21), 100)
+
+    def test_last_index_beyond_64_bits_raises(self):
+        with pytest.raises(RangeOverflowError):
+            u_set((2**40 + 1, 2**40 + 2, 2**40 + 3), 10**4)
+
+
     def test_flagship_prefix(self):
         values, bound = u_set_prefix((10, 15, 21), 11)
         assert values == (0, 1, 2, 3, 4, 5, 7, 9, 11, 14, 17, 20, 22, 24)
@@ -145,7 +225,7 @@ class TestTriangularFrobenius:
                 )
 
     def test_rewritten_presentations_agree(self):
-        # the factored even/odd forms are asserted inside the first variant;
+        # the factored even/odd forms are checked inside the first variant;
         # running the grid exercises that cross-check
         for n in range(1, 51):
             for s in range(11):
@@ -211,6 +291,18 @@ class TestOneAB:
             one_a_b_frobenius(0, 9, 2)
         with pytest.raises(InvalidInputError):
             one_a_b_frobenius(4, 9, -1)
+
+
+class TestSelfChecks:
+    def test_value_rejects_a_non_dividing_d(self):
+        case = ClosedFormCase(Coins((10, 15, 21)), pivot=1, d=4, modulus_part=2, num=7, den=2)
+        with pytest.raises(InvariantError):
+            case.value(1)
+
+    def test_exact_quarter_rejects_a_remainder(self):
+        assert _exact_quarter(12) == 3
+        with pytest.raises(InvariantError):
+            _exact_quarter(6)
 
 
 class TestOracleEquivalence:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 
 from genfrob.denumerant import (
     Coins,
+    _split_large,
     denumerant,
     denumerant_series,
     denumerant_two,
     split_by_part,
 )
 from genfrob.errors import CapacityError, InvalidInputError
+from genfrob.exactint import gcd, gcd_fold
 from oracles import naive_denumerant
 
 
@@ -79,6 +83,46 @@ class TestDenumerant:
     def test_beyond_capacity_four_parts_raises(self):
         with pytest.raises(CapacityError):
             denumerant(4000, (9, 15, 70, 11), max_table=100)
+
+
+def _random_triples(rng, count, *, bound=40):
+    """``count`` triples with overall gcd 1; every other one has gcd > 1
+    between the two parts the split does not peel."""
+    triples = []
+    while len(triples) < count:
+        if len(triples) % 2:
+            h = rng.randint(2, 6)
+            b, c = h * rng.randint(1, bound // h), h * rng.randint(1, bound // h)
+            parts = (rng.randint(max(b, c), bound + 10), b, c)  # largest first: peeled
+        else:
+            parts = tuple(rng.randint(1, bound) for _ in range(3))
+        if gcd_fold(parts) == 1:
+            triples.append(parts)
+    return triples
+
+
+class TestSplitLarge:
+    """The closed floor-sum split against DP tables, which share no code with it."""
+
+    def test_matches_table_on_random_triples(self):
+        rng = random.Random(20231)
+        triples = _random_triples(rng, 240)
+        with_common_pair = 0
+        for parts in triples:
+            peeled = max(range(3), key=lambda i: parts[i])
+            b, c = (parts[i] for i in range(3) if i != peeled)
+            with_common_pair += gcd(b, c) > 1
+            counts = denumerant_series(parts, 1500).counts
+            for n in list(range(0, 60)) + [rng.randint(60, 1500) for _ in range(20)]:
+                assert _split_large(n, parts) == counts[n], (parts, n)
+        assert with_common_pair >= 100
+
+    def test_denumerant_takes_split_past_small_capacity(self):
+        rng = random.Random(7)
+        for parts in _random_triples(rng, 40, bound=25) + [(4, 6, 10), (6, 10, 15), (1, 1, 1)]:
+            counts = denumerant_series(parts, 3000).counts
+            for n in (0, 1, 50, 51, rng.randint(52, 3000), 3000):
+                assert denumerant(n, parts, max_table=50) == counts[n], (parts, n)
 
 
 class TestSeries:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genfrob.errors import InvalidInputError, RangeOverflowError
@@ -11,12 +11,14 @@ from genfrob.exactint import (
     checked_add,
     checked_mul,
     checked_sub,
+    floor_sum,
     gcd,
     gcd_fold,
     lcm,
     lcm_fold,
     require_i64,
 )
+from oracles import naive_floor_sum
 
 
 def test_gcd_examples():
@@ -93,6 +95,33 @@ def test_overflow_signals():
         ceil_div(2**200, 2)  # numerator beyond the 128-bit headroom
     assert require_i64(I64_MAX) == I64_MAX
     assert require_i64(I64_MIN) == I64_MIN
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 60),
+    st.integers(1, 50),
+    st.integers(-200, 200),
+    st.integers(-200, 200),
+)
+def test_floor_sum_matches_naive_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == naive_floor_sum(n, m, a, b)
+
+
+def test_floor_sum_exact_beyond_128_bits():
+    for n, m, a, b in ((1000, 2**70 + 3, 2**100 + 7, 2**90), (700, 3, -(2**80), 2**120 + 1)):
+        assert floor_sum(n, m, a, b) == naive_floor_sum(n, m, a, b)
+
+
+def test_floor_sum_edge_and_validation():
+    assert floor_sum(0, 5, 3, 2) == 0
+    assert floor_sum(4, 1, 1, 0) == 6
+    with pytest.raises(InvalidInputError):
+        floor_sum(-1, 5, 1, 1)
+    with pytest.raises(InvalidInputError):
+        floor_sum(3, 0, 1, 1)
+    with pytest.raises(InvalidInputError):
+        floor_sum(3, 2, 1.5, 1)
 
 
 def test_checked_int_arithmetic():
