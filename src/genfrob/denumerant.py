@@ -4,8 +4,9 @@ d(n; A) is the number of non-negative integer solutions of
 ``a1*x1 + ... + ak*xk == n``.  Strategies: the DP table built by the
 counting kernel, a direct congruence count for two coprime parts, and the
 splitting identity that peels one part off a larger tuple (for three parts
-past the table capacity it is summed in closed form, O(log n)).  All
-strategies agree exactly; counts are 64-bit with overflow signalled.
+it is summed in closed form, O(log n); for more it is summed over the DP
+table of the other parts).  All strategies agree exactly; counts are
+64-bit with overflow signalled.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import CapacityError, InvalidInputError, InvariantError
+from .errors import CapacityError, InvalidInputError, InvariantError, RangeOverflowError
 from .exactint import floor_sum, gcd, gcd_fold, require_i64
 
 DEFAULT_MAX_TABLE = 10**7
@@ -153,9 +154,10 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
 
     Negative n counts 0.  A common factor g of all parts is divided out
     first (n must be a multiple of g to be representable at all).  Two
-    parts use the congruence count; larger tuples use the DP table, or the
-    splitting identity when n is beyond the table capacity (three parts
-    only).
+    parts use the congruence count and three the closed split sum.  Four
+    or more build the DP table over the parts minus one copy of the
+    largest part a and sum it along the residue class of n mod a, which
+    saves the last coin pass; n beyond the table capacity raises.
     """
     coins = Coins.of(coins)
     if n < 0:
@@ -169,14 +171,22 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
     parts = coins.parts
     if len(parts) == 2:
         return denumerant_two(n, parts[0], parts[1])
-    cap = table_capacity(max_table)
-    if n + 1 <= cap:
-        return denumerant_series(coins, n, max_table=max_table).count(n)
     if len(parts) == 3:
         return _split_large(n, parts)
-    raise CapacityError(
-        f"n={n} exceeds the table capacity {cap} and no split strategy applies for k={len(parts)}"
-    )
+    cap = table_capacity(max_table)
+    if n + 1 > cap:
+        raise CapacityError(
+            f"n={n} exceeds the table capacity {cap} and no split strategy applies for k={len(parts)}"
+        )
+    i = max(range(len(parts)), key=lambda idx: parts[idx])
+    a = parts[i]
+    rest = denumerant_series(parts[:i] + parts[i + 1 :], n, max_table=max_table)
+    # d(n) = sum_j d(n - j*a; rest); the addends are non-negative int64, so
+    # the first partial sum to leave int64 wraps negative
+    sums = np.cumsum(rest.counts[n % a :: a])
+    if sums.min() < 0:
+        raise RangeOverflowError(f"d({n}; {parts}) exceeds int64")
+    return int(sums[-1])
 
 
 def _split_large(n: int, parts: tuple[int, ...]) -> int:

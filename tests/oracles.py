@@ -15,6 +15,16 @@ def naive_denumerant(n, parts):
     return sum(naive_denumerant(n - j * a, parts[1:]) for j in range(n // a + 1))
 
 
+def inplace_dp_counts(parts, n_max):
+    """[d(0; parts), ..., d(n_max; parts)] by the in-place update
+    c[m] += c[m - a], one part at a time, in Python ints."""
+    counts = [1] + [0] * n_max
+    for a in parts:
+        for m in range(a, n_max + 1):
+            counts[m] += counts[m - a]
+    return counts
+
+
 def naive_gen_frobenius(parts, s, scan_to):
     """Largest n <= scan_to with naive count <= s; asserts the stop window."""
     counts = [naive_denumerant(n, parts) for n in range(scan_to + 1)]

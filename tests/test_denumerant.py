@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from genfrob.denumerant import (
     denumerant_two,
     split_by_part,
 )
-from genfrob.errors import CapacityError, InvalidInputError
+from genfrob.errors import CapacityError, InvalidInputError, RangeOverflowError
 from genfrob.exactint import gcd, gcd_fold
-from oracles import naive_denumerant
+from oracles import inplace_dp_counts, naive_denumerant, numpy_peel_count
 
 
 class TestCoins:
@@ -84,6 +86,41 @@ class TestDenumerant:
         with pytest.raises(CapacityError):
             denumerant(4000, (9, 15, 70, 11), max_table=100)
 
+    def test_three_parts_below_capacity_take_the_closed_sum(self):
+        n = 9_999_999
+        start = time.perf_counter()
+        value = denumerant(n, (2, 3, 5))
+        assert time.perf_counter() - start < 1.0
+        assert value == numpy_peel_count(n, (2, 3, 5), peel=1)
+
+
+class TestResidueSum:
+    """k >= 4 parts: the (k-1)-part table summed along one residue class,
+    against a pure-Python DP over all k parts."""
+
+    def test_matches_inplace_dp_on_random_tuples(self):
+        rng = random.Random(45)
+        for k in (4, 5, 6):
+            for trial in range(20):
+                parts = [rng.randint(1, 60) for _ in range(k)]
+                if trial % 4 == 0:
+                    parts[rng.randrange(k)] = max(parts)  # the largest part twice
+                n_max = rng.randint(0, 1500)
+                expected = inplace_dp_counts(parts, n_max)
+                for n in {0, n_max, n_max // 2, rng.randint(0, n_max)}:
+                    assert denumerant(n, tuple(parts)) == expected[n], (parts, n)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_unit_coins_at_the_int64_boundary(self, k):
+        # d(n; 1^k) = comb(n + k - 1, k - 1); find the largest n that fits
+        lo, hi = 0, 1 << 22
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid + k - 1, k - 1) < 1 << 63 else (lo, mid)
+        assert denumerant(lo, (1,) * k) == math.comb(lo + k - 1, k - 1)
+        with pytest.raises(RangeOverflowError):
+            denumerant(lo + 1, (1,) * k)
+
 
 def _random_triples(rng, count, *, bound=40):
     """``count`` triples with overall gcd 1; every other one has gcd > 1
@@ -147,6 +184,12 @@ class TestSeries:
         table = denumerant_series((3, 5), 10)
         with pytest.raises(ValueError):
             table.counts[0] = 99
+
+    def test_multi_block_counts_are_read_only_and_exact(self):
+        table = denumerant_series((3, 7, 5000), 100_000)
+        with pytest.raises(ValueError):
+            table.counts[-1] = 99
+        assert table.counts.tolist() == inplace_dp_counts((3, 7, 5000), 100_000)
 
     def test_capacity_enforced(self):
         with pytest.raises(CapacityError):

@@ -1,6 +1,7 @@
 """Both kernel backends: correctness against the naive oracle, bitwise agreement."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genfrob
 from genfrob._kernel import available_backends
+from genfrob._kernel._pykernel import BLOCK
 from genfrob.errors import RangeOverflowError
-from oracles import naive_denumerant
+from oracles import inplace_dp_counts, naive_denumerant
 
 BACKENDS = available_backends()
 
@@ -21,11 +24,8 @@ def kernel(request):
     return BACKENDS[request.param]
 
 
-def test_compiled_backend_is_present():
-    # the build in this repo produces the extension; the fallback alone
-    # still works, but then the benchmark has nothing to compare
-    assert "python" in BACKENDS
-    assert len(BACKENDS) >= 1
+def test_selected_backend_is_available():
+    assert genfrob.KERNEL_BACKEND in available_backends()
 
 
 def test_small_table(kernel):
@@ -56,6 +56,30 @@ def test_matches_naive_oracle(parts, n_max):
     expected = [naive_denumerant(n, tuple(parts)) for n in range(n_max + 1)]
     for impl in BACKENDS.values():
         assert impl.build_counts(tuple(parts), n_max).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "parts, n_max",
+    [
+        # several blocks per pass, so every block boundary carries a row;
+        # 100_001 entries leave a ragged last row for each part
+        ((3, 7, 5000), 100_000),
+        # parts of at least BLOCK entries: one row per block
+        ((BLOCK + 3, 2, 2 * BLOCK + 1, BLOCK), 3 * BLOCK + 10),
+        # a part equal to n_max, and one past it
+        ((5, 11, 4099, 4100), 4099),
+    ],
+)
+def test_matches_inplace_dp(kernel, parts, n_max):
+    assert kernel.build_counts(parts, n_max).tolist() == inplace_dp_counts(parts, n_max)
+
+
+def test_matches_inplace_dp_on_random_multi_block_tables(kernel):
+    rng = random.Random(4)
+    for _ in range(10):
+        n_max = rng.randint(BLOCK, 4 * BLOCK)
+        parts = (rng.randint(1, 40), rng.randint(41, 3000), rng.randint(3000, n_max + 10))
+        assert kernel.build_counts(parts, n_max).tolist() == inplace_dp_counts(parts, n_max)
 
 
 @settings(max_examples=40, deadline=None)
