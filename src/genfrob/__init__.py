@@ -47,6 +47,7 @@ from .frobenius import (
     GenFrobResult,
     beck_kifer_reduce,
     gen_frobenius_brute,
+    gen_frobenius_brute_many,
     gen_frobenius_two,
 )
 from .verify import (
@@ -102,6 +103,7 @@ __all__ = [
     "GenFrobResult",
     "beck_kifer_reduce",
     "gen_frobenius_brute",
+    "gen_frobenius_brute_many",
     "gen_frobenius_two",
     "SUITES",
     "VerificationReport",

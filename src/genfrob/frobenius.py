@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .denumerant import Coins, table_capacity
+from .denumerant import Coins, DenumerantTable, table_capacity
 from .errors import CapacityError, InvalidInputError
 from .exactint import gcd, gcd_fold, require_i64
 
@@ -77,39 +77,77 @@ def gen_frobenius_brute(
 ) -> GenFrobResult:
     """Largest n with d(n; A) <= s, by scanning the counting table.
 
-    The table grows geometrically until the last qualifying index is
-    followed by min(A) in-table integers whose counts all exceed s; by the
-    monotone-shift property of d that window proves no larger qualifying
-    integer exists.  ``size_hint`` pre-sizes the first table.
+    The batched search of :func:`gen_frobenius_brute_many` for one ``s``;
+    the witness window is read from its certifying table.
+    """
+    coins = Coins.of(coins)
+    (value,), table = gen_frobenius_brute_many(
+        coins, [s], max_table=max_table, size_hint=size_hint
+    )
+    witness = tuple(
+        (n, int(table.counts[n])) for n in range(value + 1, value + coins.min_part + 1)
+    )
+    return GenFrobResult(value=value, method=METHOD_BRUTE_FORCE, witness_window=witness)
+
+
+def gen_frobenius_brute_many(
+    coins,
+    s_values,
+    *,
+    max_table: int | None = None,
+    size_hint: int | None = None,
+) -> tuple[list[int], DenumerantTable]:
+    """g(A; s) for every s in ``s_values`` (any order, repeats allowed) from one table.
+
+    The table grows geometrically until the last index n with
+    d(n; A) <= max(s) is followed by min(A) in-table integers whose counts
+    all exceed max(s); by the monotone-shift property d(n + a) >= d(n)
+    that window proves no larger qualifying integer exists.  Every smaller
+    s has its value below that one, so the same window certifies it, and
+    the suffix minimum of the counts up to there gives all of them at
+    once.  Returns the values in input order and the certifying table.
+    ``size_hint`` pre-sizes the first table.
     """
     coins = Coins.of(coins)
     if coins.overall_gcd != 1:
         raise InvalidInputError("g(A; s) requires overall gcd 1")
-    if s < 0:
+    s_values = list(s_values)
+    if not s_values:
+        raise InvalidInputError("at least one s value is required")
+    if min(s_values) < 0:
         raise InvalidInputError("s must be non-negative")
+    s_top = max(s_values)
     parts = coins.parts
     window = coins.min_part
     cap = table_capacity(max_table)
     hard_limit = cap - 1
-    pair_bound = _coprime_pair_bound(parts, s)
+    pair_bound = _coprime_pair_bound(parts, s_top)
     if pair_bound is not None:
         # reaching this size guarantees the window is in-table
         hard_limit = min(hard_limit, max(pair_bound + window, window))
     n_max = min(hard_limit, max(window, int(size_hint) if size_hint else 1024))
     while True:
         counts = _kernel.build_counts(parts, n_max)
-        small = np.flatnonzero(counts <= s)
-        value = int(small[-1]) if small.size else -1
-        if value + window <= n_max:
-            witness = tuple(
-                (n, int(counts[n])) for n in range(value + 1, value + window + 1)
-            )
-            return GenFrobResult(value=value, method=METHOD_BRUTE_FORCE, witness_window=witness)
+        # last index with a count <= s_top, by a reversed scan of the mask:
+        # unlike flatnonzero, argmax allocates no index array
+        from_end = int(np.argmax(counts[::-1] <= s_top))
+        top = n_max - from_end if counts[n_max - from_end] <= s_top else -1
+        if top + window <= n_max:
+            break
         if n_max >= hard_limit:
             raise CapacityError(
                 f"no certifying window within {n_max + 1} table entries (capacity {cap})"
             )
         n_max = min(n_max * 2, hard_limit)
+    counts.setflags(write=False)
+    table = DenumerantTable(coins, counts)
+    if top < 0 or all(s == s_top for s in s_values):
+        return [top] * len(s_values), table
+    # the suffix minimum is non-decreasing, and it is <= s up to the last
+    # count <= s and > s after it
+    suffix_min = np.minimum.accumulate(counts[top::-1])[::-1]
+    found = np.searchsorted(suffix_min, s_values, side="right") - 1
+    return [int(v) for v in found], table
 
 
 def beck_kifer_reduce(coins, s: int, *, max_table: int | None = None) -> GenFrobResult:

@@ -5,8 +5,10 @@ Frobenius numbers on concrete inputs and returns a structured report.
 Inputs that violate a statement's hypothesis raise
 :class:`InvalidInputError` and are never counted as failures, so a suite
 tests exactly the claims.  Suite runners enumerate qualifying inputs
-exhaustively (or sample them with a seeded RNG) and aggregate the
-per-input reports.
+exhaustively (or sample them with a seeded RNG), group them by tuple and
+evaluate each tuple from one counting table: every g(A; s) the tuple
+needs comes from one batched search, and all of its rays g - j*c are
+read from that table as one index array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ from .closedform import detect_cases
 from .denumerant import Coins, denumerant, denumerant_series
 from .errors import InvalidInputError
 from .exactint import gcd, gcd_fold
-from .frobenius import gen_frobenius_brute, gen_frobenius_two
+from .frobenius import gen_frobenius_brute_many, gen_frobenius_two
+
+# Unused here; kept importable by this path because perfbench's tracer
+# patches verify.gen_frobenius_brute.
+from .frobenius import gen_frobenius_brute  # noqa: F401
 
 
 class Failure(NamedTuple):
@@ -68,10 +74,34 @@ def _report(suite: str, cases_run: int, failures, start: float) -> VerificationR
     return VerificationReport(suite, cases_run, failures, time.perf_counter() - start)
 
 
-def _merge(suite: str, reports, start: float) -> VerificationReport:
-    cases = sum(r.cases_run for r in reports)
-    failures = [f for r in reports for f in r.failures]
+def _run(suite: str, evaluate, work: dict, max_table, start: float) -> VerificationReport:
+    """One evaluator call, hence one counting table, per tuple key of ``work``.
+
+    ``evaluate(parts, work[parts], max_table)`` returns that tuple's
+    ``(cases_run, failures)``.
+    """
+    cases, failures = 0, []
+    for parts, item in work.items():
+        n, found = evaluate(parts, item, max_table)
+        cases += n
+        failures += found
     return _report(suite, cases, failures, start)
+
+
+def _rays(g: list[int], checks: list[tuple[int, int]]):
+    """All rays g[i] - j*c_i (j = 0..g[i]//c_i) of the checks with g[i] >= 0, as one array.
+
+    Returns (ray, which, j, m): ``which`` holds the index of each ray's
+    check in ``checks`` and ``m`` the concatenated integers g - j*c.
+    """
+    ray = [i for i, value in enumerate(g) if value >= 0]
+    top = np.array([g[i] for i in ray], dtype=np.int64)
+    step = np.array([checks[i][1] for i in ray], dtype=np.int64)
+    lengths = top // step + 1
+    which = np.repeat(np.arange(len(ray)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    j = np.arange(int(lengths.sum())) - starts[which]
+    return ray, which, j, top[which] - step[which] * j
 
 
 def _require_multiple_of_part(c: int, parts) -> None:
@@ -79,6 +109,83 @@ def _require_multiple_of_part(c: int, parts) -> None:
         raise InvalidInputError("c must be positive")
     if all(c % a for a in parts):
         raise InvalidInputError(f"c={c} is not a multiple of any part in {tuple(parts)}")
+
+
+def _require_coprime_pair_checks(a: int, b: int, checks) -> None:
+    if a < 1 or b < 1 or gcd(a, b) != 1:
+        raise InvalidInputError("requires positive coprime a, b")
+    for s, c in checks:
+        if s < 0:
+            raise InvalidInputError("s must be non-negative")
+        if c < 1 or (c % a and c % b):
+            raise InvalidInputError(f"c={c} must be a multiple of {a} or {b}")
+
+
+def _pair_rays(pair, checks, max_table):
+    """The pair suites' rays g(a,b;s) - j*c and their counts, from one table."""
+    a, b = pair
+    _require_coprime_pair_checks(a, b, checks)
+    g = [gen_frobenius_two(a, b, s) for s, _ in checks]
+    ray, which, j, m = _rays(g, checks)
+    counts = np.zeros(0, dtype=np.int64)
+    if ray:
+        counts = denumerant_series(pair, max(g), max_table=max_table).counts[m]
+    return ray, which, j, m, counts
+
+
+# The evaluators: one tuple and its (s, c) checks in, (cases_run, failures) out.
+
+
+def _lemma2(coins, checks, max_table):
+    coins = Coins.of(coins)
+    if coins.overall_gcd != 1:
+        raise InvalidInputError("requires overall gcd 1")
+    for s, c in checks:
+        if s < 0:
+            raise InvalidInputError("s must be non-negative")
+        _require_multiple_of_part(c, coins.parts)
+    g, table = gen_frobenius_brute_many(coins, [s for s, _ in checks], max_table=max_table)
+    ray, which, j, m = _rays(g, checks)
+    counts = table.counts[m]
+    bound = np.array([checks[i][0] for i in ray], dtype=np.int64)[which]
+    failures = []
+    for idx in np.flatnonzero(counts > bound):
+        s, c = checks[ray[which[idx]]]
+        failures.append(Failure(coins.parts + (s, c, int(j[idx])), f"<= {s}", int(counts[idx])))
+    return int(m.size), failures
+
+
+def _lemma3(pair, checks, max_table):
+    a, b = pair
+    ray, which, j, m, counts = _pair_rays(pair, checks, max_table)
+    # smallest i with m <= (i+1)ab - a - b; always lands in 0..s here
+    sandwiched = (m + a + b + a * b - 1) // (a * b) - 1
+    failures = []
+    for idx in np.flatnonzero(counts != sandwiched):
+        s, c = checks[ray[which[idx]]]
+        failures.append(
+            Failure((a, b, s, c, int(j[idx])), int(sandwiched[idx]), int(counts[idx]))
+        )
+    return int(m.size), failures
+
+
+def _decreasing(pair, checks, max_table):
+    a, b = pair
+    ray, which, j, _, counts = _pair_rays(pair, checks, max_table)
+    # consecutive entries (idx, idx + 1) of the same ray
+    same_ray = which[1:] == which[:-1]
+    failures = []
+    for idx in np.flatnonzero(same_ray & (counts[1:] > counts[:-1])):
+        s, c = checks[ray[which[idx]]]
+        j0, j1 = int(j[idx]), int(j[idx + 1])
+        failures.append(
+            Failure(
+                (a, b, s, c, j0, j1),
+                f"d at j={j1} <= d at j={j0}",
+                (int(counts[idx]), int(counts[idx + 1])),
+            )
+        )
+    return int(np.count_nonzero(same_ray)), failures
 
 
 def check_lemma2(coins, s: int, c: int, *, max_table: int | None = None) -> VerificationReport:
@@ -89,25 +196,7 @@ def check_lemma2(coins, s: int, c: int, *, max_table: int | None = None) -> Veri
     contradict the definition of g.
     """
     start = time.perf_counter()
-    coins = Coins.of(coins)
-    if coins.overall_gcd != 1:
-        raise InvalidInputError("requires overall gcd 1")
-    if s < 0:
-        raise InvalidInputError("s must be non-negative")
-    _require_multiple_of_part(c, coins.parts)
-    g = gen_frobenius_brute(coins, s, max_table=max_table).value
-    failures = []
-    cases = 0
-    if g >= 0:
-        table = denumerant_series(coins, g, max_table=max_table)
-        js = np.arange(g // c + 1)
-        counts = table.counts[g - c * js]
-        cases = int(js.size)
-        for idx in np.flatnonzero(counts > s):
-            failures.append(
-                Failure(coins.parts + (s, c, int(js[idx])), f"<= {s}", int(counts[idx]))
-            )
-    return _report("lemma2", cases, failures, start)
+    return _report("lemma2", *_lemma2(coins, [(s, c)], max_table), start)
 
 
 def check_lemma3(a: int, b: int, s: int, c: int, *, max_table: int | None = None) -> VerificationReport:
@@ -119,28 +208,7 @@ def check_lemma3(a: int, b: int, s: int, c: int, *, max_table: int | None = None
     is unique; cases_run counts the j values.
     """
     start = time.perf_counter()
-    if a < 1 or b < 1 or gcd(a, b) != 1:
-        raise InvalidInputError("requires positive coprime a, b")
-    if s < 0:
-        raise InvalidInputError("s must be non-negative")
-    if c < 1 or (c % a and c % b):
-        raise InvalidInputError(f"c={c} must be a multiple of {a} or {b}")
-    g_s = gen_frobenius_two(a, b, s)
-    failures = []
-    cases = 0
-    if g_s >= 0:
-        table = denumerant_series((a, b), g_s, max_table=max_table)
-        js = np.arange(g_s // c + 1)
-        m = g_s - c * js
-        counts = table.counts[m]
-        # smallest i with m <= (i+1)ab - a - b; always lands in 0..s here
-        sandwiched = (m + a + b + a * b - 1) // (a * b) - 1
-        cases = int(js.size)
-        for idx in np.flatnonzero(counts != sandwiched):
-            failures.append(
-                Failure((a, b, s, c, int(js[idx])), int(sandwiched[idx]), int(counts[idx]))
-            )
-    return _report("lemma3", cases, failures, start)
+    return _report("lemma3", *_lemma3((a, b), [(s, c)], max_table), start)
 
 
 def check_decreasing(a: int, b: int, s: int, c: int, *, max_table: int | None = None) -> VerificationReport:
@@ -150,29 +218,29 @@ def check_decreasing(a: int, b: int, s: int, c: int, *, max_table: int | None = 
     genuinely fails, so non-qualifying c are rejected as invalid input.
     """
     start = time.perf_counter()
-    if a < 1 or b < 1 or gcd(a, b) != 1:
-        raise InvalidInputError("requires positive coprime a, b")
-    if s < 0:
-        raise InvalidInputError("s must be non-negative")
-    if c < 1 or (c % a and c % b):
-        raise InvalidInputError(f"c={c} must be a multiple of {a} or {b}")
-    g_s = gen_frobenius_two(a, b, s)
-    failures = []
-    cases = 0
-    if g_s >= 0:
-        table = denumerant_series((a, b), g_s, max_table=max_table)
-        js = np.arange(g_s // c + 1)
-        counts = table.counts[g_s - c * js]
-        cases = max(int(js.size) - 1, 0)
-        for idx in np.flatnonzero(np.diff(counts) > 0):
-            failures.append(
-                Failure(
-                    (a, b, s, c, int(js[idx]), int(js[idx + 1])),
-                    f"d at j={int(js[idx + 1])} <= d at j={int(js[idx])}",
-                    (int(counts[idx]), int(counts[idx + 1])),
-                )
-            )
-    return _report("decreasing", cases, failures, start)
+    return _report("decreasing", *_decreasing((a, b), [(s, c)], max_table), start)
+
+
+def _theorem1(parts, s_bound: int, max_table):
+    """Closed form versus the batched search at every sigma index of one triple."""
+    coins = Coins(parts)
+    rows = [
+        (case.pivot, s, case.sigma(s), case.value(s))
+        for case in detect_cases(coins)
+        for s in range(s_bound + 1)
+    ]
+    if not rows:
+        return 0, []
+    got, _ = gen_frobenius_brute_many(
+        coins, [sigma for _, _, sigma, _ in rows], max_table=max_table,
+        size_hint=max(expected for *_, expected in rows) + coins.min_part + 2,
+    )
+    failures = [
+        Failure(parts + (pivot, s, sigma), expected, value)
+        for (pivot, s, sigma, expected), value in zip(rows, got)
+        if value != expected
+    ]
+    return len(rows), failures
 
 
 def cross_check_theorem1(
@@ -187,24 +255,12 @@ def cross_check_theorem1(
     start = time.perf_counter()
     if part_bound < 1 or s_bound < 0:
         raise InvalidInputError("bounds must be positive / non-negative")
-    failures = []
-    cases = 0
-    for parts in itertools.combinations_with_replacement(range(1, part_bound + 1), 3):
-        if gcd_fold(parts) != 1:
-            continue
-        coins = Coins(parts)
-        for case in detect_cases(coins):
-            for s in range(s_bound + 1):
-                sigma = case.sigma(s)
-                expected = case.value(s)
-                got = gen_frobenius_brute(
-                    coins, sigma, max_table=max_table,
-                    size_hint=expected + coins.min_part + 2,
-                ).value
-                cases += 1
-                if got != expected:
-                    failures.append(Failure(parts + (case.pivot, s, sigma), expected, got))
-    return _report("theorem1", cases, failures, start)
+    triples = (
+        parts
+        for parts in itertools.combinations_with_replacement(range(1, part_bound + 1), 3)
+        if gcd_fold(parts) == 1
+    )
+    return _run("theorem1", _theorem1, {parts: s_bound for parts in triples}, max_table, start)
 
 
 def _coprime_pairs(max_ab: int):
@@ -216,6 +272,37 @@ def _coprime_pairs(max_ab: int):
 
 def _qualifying_c(parts, max_c: int) -> list[int]:
     return sorted({c for a in parts for c in range(a, max_c + 1, a)})
+
+
+def _enumerate(tuples, max_s: int, max_c: int, samples, seed, draw_tuple):
+    """The checks of a ray suite, grouped as ``{tuple: [(s, c), ...]}``.
+
+    Exhaustive mode takes every tuple of ``tuples``, s <= max_s and
+    qualifying c <= max_c.  Sampled mode draws ``samples`` checks with a
+    ``random.Random(seed)``: ``draw_tuple(rng)`` gives a tuple or None to
+    redraw, then s and c are drawn.  Tuples keep the order they first
+    appear in; their checks keep draw order, repeats included.
+    """
+    work = {}
+    if samples is None:
+        for parts in tuples:
+            for s in range(max_s + 1):
+                for c in _qualifying_c(parts, max_c):
+                    work.setdefault(parts, []).append((s, c))
+        return work
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < samples:
+        parts = draw_tuple(rng)
+        if parts is None:
+            continue
+        choices = _qualifying_c(parts, max_c)
+        if not choices:
+            continue
+        s = rng.randint(0, max_s)
+        work.setdefault(parts, []).append((s, rng.choice(choices)))
+        drawn += 1
+    return work
 
 
 def run_lemma2_suite(
@@ -230,29 +317,31 @@ def run_lemma2_suite(
 ) -> VerificationReport:
     """All (A, s, c) with parts <= max_part, gcd 1, s <= max_s, qualifying c <= max_c."""
     start = time.perf_counter()
-    reports = []
-    if samples is None:
-        for k in arities:
-            for parts in itertools.combinations_with_replacement(range(1, max_part + 1), k):
-                if gcd_fold(parts) != 1:
-                    continue
-                for s in range(max_s + 1):
-                    for c in _qualifying_c(parts, max_c):
-                        reports.append(check_lemma2(parts, s, c, max_table=max_table))
-    else:
-        rng = random.Random(seed)
-        while len(reports) < samples:
-            k = rng.choice(arities)
-            parts = tuple(sorted(rng.randint(1, max_part) for _ in range(k)))
-            if gcd_fold(parts) != 1:
-                continue
-            choices = _qualifying_c(parts, max_c)
-            if not choices:
-                continue
-            reports.append(
-                check_lemma2(parts, rng.randint(0, max_s), rng.choice(choices), max_table=max_table)
-            )
-    return _merge("lemma2", reports, start)
+    tuples = (
+        parts
+        for k in arities
+        for parts in itertools.combinations_with_replacement(range(1, max_part + 1), k)
+        if gcd_fold(parts) == 1
+    )
+
+    def draw(rng):
+        k = rng.choice(arities)
+        parts = tuple(sorted(rng.randint(1, max_part) for _ in range(k)))
+        return parts if gcd_fold(parts) == 1 else None
+
+    work = _enumerate(tuples, max_s, max_c, samples, seed, draw)
+    return _run("lemma2", _lemma2, work, max_table, start)
+
+
+def _run_pair_suite(suite, evaluate, max_ab, max_s, max_c, samples, seed, max_table):
+    start = time.perf_counter()
+
+    def draw(rng):
+        a, b = rng.randint(1, max_ab), rng.randint(1, max_ab)
+        return (a, b) if gcd(a, b) == 1 else None
+
+    work = _enumerate(_coprime_pairs(max_ab), max_s, max_c, samples, seed, draw)
+    return _run(suite, evaluate, work, max_table, start)
 
 
 def run_lemma3_suite(
@@ -265,26 +354,7 @@ def run_lemma3_suite(
     max_table: int | None = None,
 ) -> VerificationReport:
     """All coprime pairs a <= b <= max_ab, s <= max_s, qualifying c <= max_c."""
-    start = time.perf_counter()
-    reports = []
-    if samples is None:
-        for a, b in _coprime_pairs(max_ab):
-            for s in range(max_s + 1):
-                for c in _qualifying_c((a, b), max_c):
-                    reports.append(check_lemma3(a, b, s, c, max_table=max_table))
-    else:
-        rng = random.Random(seed)
-        while len(reports) < samples:
-            a, b = rng.randint(1, max_ab), rng.randint(1, max_ab)
-            if gcd(a, b) != 1:
-                continue
-            choices = _qualifying_c((a, b), max_c)
-            if not choices:
-                continue
-            reports.append(
-                check_lemma3(a, b, rng.randint(0, max_s), rng.choice(choices), max_table=max_table)
-            )
-    return _merge("lemma3", reports, start)
+    return _run_pair_suite("lemma3", _lemma3, max_ab, max_s, max_c, samples, seed, max_table)
 
 
 def run_decreasing_suite(
@@ -297,26 +367,7 @@ def run_decreasing_suite(
     max_table: int | None = None,
 ) -> VerificationReport:
     """Non-increasing count rays over the same grid as the sandwich suite."""
-    start = time.perf_counter()
-    reports = []
-    if samples is None:
-        for a, b in _coprime_pairs(max_ab):
-            for s in range(max_s + 1):
-                for c in _qualifying_c((a, b), max_c):
-                    reports.append(check_decreasing(a, b, s, c, max_table=max_table))
-    else:
-        rng = random.Random(seed)
-        while len(reports) < samples:
-            a, b = rng.randint(1, max_ab), rng.randint(1, max_ab)
-            if gcd(a, b) != 1:
-                continue
-            choices = _qualifying_c((a, b), max_c)
-            if not choices:
-                continue
-            reports.append(
-                check_decreasing(a, b, rng.randint(0, max_s), rng.choice(choices), max_table=max_table)
-            )
-    return _merge("decreasing", reports, start)
+    return _run_pair_suite("decreasing", _decreasing, max_ab, max_s, max_c, samples, seed, max_table)
 
 
 def run_theorem1_suite(
@@ -333,6 +384,26 @@ def run_theorem1_suite(
     return cross_check_theorem1(max_part, max_s, max_table=max_table)
 
 
+def _two_var(pair, max_s: int, max_table):
+    """Two-part closed form versus the batched search, and d(g(a,b;s); a,b) == s."""
+    a, b = pair
+    expected = [gen_frobenius_two(a, b, s) for s in range(max_s + 1)]
+    if not expected:
+        return 0, []
+    coins = Coins(pair)
+    got, _ = gen_frobenius_brute_many(
+        coins, range(max_s + 1), max_table=max_table, size_hint=max(expected) + min(a, b) + 2
+    )
+    failures = []
+    for s, (want, value) in enumerate(zip(expected, got)):
+        if value != want:
+            failures.append(Failure((a, b, s, "g_value"), want, value))
+        count_at_g = denumerant(want, coins, max_table=max_table)
+        if count_at_g != s:
+            failures.append(Failure((a, b, s, "count_at_g"), s, count_at_g))
+    return 2 * len(expected), failures
+
+
 def run_two_var_suite(
     max_ab: int = 25,
     max_s: int = 6,
@@ -345,22 +416,8 @@ def run_two_var_suite(
     start = time.perf_counter()
     if samples is not None:
         raise InvalidInputError("the two-variable sweep is exhaustive only")
-    failures = []
-    cases = 0
-    for a, b in _coprime_pairs(max_ab):
-        for s in range(max_s + 1):
-            expected = gen_frobenius_two(a, b, s)
-            got = gen_frobenius_brute(
-                (a, b), s, max_table=max_table, size_hint=expected + min(a, b) + 2
-            ).value
-            cases += 1
-            if got != expected:
-                failures.append(Failure((a, b, s, "g_value"), expected, got))
-            count_at_g = denumerant(expected, (a, b), max_table=max_table)
-            cases += 1
-            if count_at_g != s:
-                failures.append(Failure((a, b, s, "count_at_g"), s, count_at_g))
-    return _report("twovar", cases, failures, start)
+    work = {pair: max_s for pair in _coprime_pairs(max_ab)}
+    return _run("twovar", _two_var, work, max_table, start)
 
 
 SUITES = {

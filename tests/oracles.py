@@ -38,6 +38,24 @@ def naive_gen_frobenius(parts, s, scan_to):
     return best
 
 
+def scan_gen_frobenius(parts, s_values):
+    """[g(parts; s) for s in s_values] by scanning a pure-Python table.
+
+    The table doubles until min(parts) counts above max(s_values) follow
+    the last count <= max(s_values); each s then takes the last index
+    whose count is <= s.
+    """
+    window, top, n_max = min(parts), max(s_values), 64
+    while True:
+        counts = inplace_dp_counts(parts, n_max)
+        last = max((n for n, d in enumerate(counts) if d <= top), default=-1)
+        if last + window <= n_max:
+            break
+        n_max *= 2
+    assert all(d > top for d in counts[last + 1 : last + window + 1])
+    return [max((n for n, d in enumerate(counts) if d <= s), default=-1) for s in s_values]
+
+
 def naive_floor_sum(n, m, a, b):
     """sum(floor((a*i + b) / m) for i in range(n)), term by term."""
     return sum((a * i + b) // m for i in range(n))

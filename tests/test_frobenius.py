@@ -1,3 +1,8 @@
+import json
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +14,15 @@ from genfrob.frobenius import (
     METHOD_GCD_REDUCTION,
     beck_kifer_reduce,
     gen_frobenius_brute,
+    gen_frobenius_brute_many,
     gen_frobenius_two,
 )
-from oracles import naive_gen_frobenius
+from oracles import naive_gen_frobenius, scan_gen_frobenius
+
+# g(A; 0..20) and the s = 20 witness window of 36 seeded random tuples
+# (k = 2..4, parts <= 15, unsorted, some with repeated parts), recorded
+# from the one-s-per-table search that preceded gen_frobenius_brute_many.
+BRUTE_VALUES = json.loads((Path(__file__).parent / "data" / "brute_values.json").read_text())
 
 
 class TestTwoVar:
@@ -94,6 +105,59 @@ class TestBrute:
     def test_growth_without_coprime_pair(self):
         # no coprime pair: the size cap cannot be derived, growth must still stop
         assert gen_frobenius_brute((6, 10, 15), 0).value == 29
+
+
+class TestBatched:
+    def test_recorded_values_and_plain_scan(self):
+        rng = random.Random(7)
+        regrown = 0
+        for entry in BRUTE_VALUES:
+            parts, recorded = tuple(entry["parts"]), entry["g"]
+            assert scan_gen_frobenius(parts, range(21)) == recorded, parts
+            # all s at once, then unsorted lists with repeats
+            values, table = gen_frobenius_brute_many(parts, range(21))
+            assert values == recorded, parts
+            regrown += table.n_max + 1 > 1024
+            for _ in range(3):
+                s_list = [rng.randint(0, 20) for _ in range(rng.randint(1, 12))]
+                values, _ = gen_frobenius_brute_many(parts, s_list)
+                assert values == [recorded[s] for s in s_list], (parts, s_list)
+        assert regrown >= 3  # some largest s forced the table past its first size
+
+    def test_single_s_keeps_value_and_window(self):
+        for entry in BRUTE_VALUES:
+            parts = tuple(entry["parts"])
+            result = gen_frobenius_brute(parts, 20)
+            assert result.value == entry["g"][20]
+            assert [list(pair) for pair in result.witness_window] == entry["window_s20"]
+
+    def test_certificate_covers_every_value(self):
+        values, table = gen_frobenius_brute_many((15, 11), [20, 0, 7, 7])
+        assert values == [gen_frobenius_two(15, 11, s) for s in (20, 0, 7, 7)]
+        assert table.n_max >= max(values) + 11
+        assert not table.counts.flags.writeable
+        for value, s in zip(values, (20, 0, 7, 7)):
+            assert table.counts[value] <= s
+            assert np.all(table.counts[value + 1 :] > s)
+
+    def test_all_minus_one(self):
+        values, _ = gen_frobenius_brute_many((1, 3), [0, 0])
+        assert values == [-1, -1]
+        values, _ = gen_frobenius_brute_many((1, 3), [1, 0])
+        assert values == [2, -1]
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(InvalidInputError):
+            gen_frobenius_brute_many((4, 6), [0])
+        with pytest.raises(InvalidInputError):
+            gen_frobenius_brute_many((3, 5), [2, -1])
+        with pytest.raises(InvalidInputError):
+            gen_frobenius_brute_many((3, 5), [])
+
+    def test_capacity_follows_the_largest_s(self):
+        assert gen_frobenius_brute_many((101, 103), [0], max_table=11000)[0] == [10199]
+        with pytest.raises(CapacityError):
+            gen_frobenius_brute_many((101, 103), [0, 1], max_table=11000)
 
 
 class TestBeckKiferReduce:

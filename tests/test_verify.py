@@ -1,7 +1,12 @@
+import itertools
 import json
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+from genfrob import _kernel
+from genfrob.cli import main
 from genfrob.denumerant import denumerant
 from genfrob.errors import InvalidInputError
 from genfrob.verify import (
@@ -135,3 +140,90 @@ class TestReport:
         report = check_lemma2((3, 7), 1, 3)
         assert report.elapsed >= 0.0
         assert "elapsed" not in report.to_json_lines()[0]
+
+
+# jsonl reports of every suite (exhaustive and sampled) and theorem1
+# --cross-check runs on small bounds, recorded from the per-check runners
+# that preceded the one-table-per-tuple evaluators: as computed, and with
+# one entry of every kernel table perturbed.
+REPORTS = json.loads((Path(__file__).parent / "data" / "verify_reports.json").read_text())
+
+
+def _perturb_kernel(monkeypatch, index, delta):
+    """Add delta to entry ``index`` of every table that reaches it."""
+    original = _kernel.build_counts
+
+    def build_counts(parts, n_max):
+        counts = original(parts, n_max)
+        if n_max >= index:
+            counts[index] += delta
+        return counts
+
+    monkeypatch.setattr(_kernel, "build_counts", build_counts)
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize(
+        "case", REPORTS, ids=lambda c: " ".join(c["argv"][:3]) + f" {c['perturb']}"
+    )
+    def test_matches_recording(self, case, monkeypatch, capsys):
+        if case["perturb"]:
+            _perturb_kernel(monkeypatch, *case["perturb"])
+        code = main(case["argv"])
+        out, err = capsys.readouterr()
+        if case["perturb"] and case["perturb"][1] < 0:
+            # A lowered entry beyond the table one s alone would build can
+            # still reach the batched search, which grows its table for
+            # the largest s: failures may be added, never dropped.
+            failures = out.splitlines()[1:]
+            assert set(case["stdout"].splitlines()[1:]) <= set(failures)
+            assert code == (1 if failures else 0)
+            return
+        assert code == case["exit"]
+        assert out == case["stdout"]
+        if "stderr" in case:
+            assert err == case["stderr"]
+
+    def test_recording_covers_every_suite_and_failures(self):
+        suites = {c["argv"][2] for c in REPORTS if c["argv"][0] == "verify"}
+        assert suites == set(SUITES)
+        failing = {c["argv"][2] for c in REPORTS if c["exit"] == 1 and c["argv"][0] == "verify"}
+        assert failing == set(SUITES)
+        assert any("--samples" in c["argv"] and c["exit"] == 1 for c in REPORTS)
+        assert any(c["argv"][0] == "theorem1" and c["exit"] == 1 for c in REPORTS)
+
+
+def _pair_loop(check, max_ab, max_s, max_c):
+    for a, b in itertools.combinations_with_replacement(range(1, max_ab + 1), 2):
+        if gcd(a, b) != 1:
+            continue
+        for s in range(max_s + 1):
+            for c in sorted({c for p in (a, b) for c in range(p, max_c + 1, p)}):
+                yield check(a, b, s, c)
+
+
+def _lemma2_loop(max_part, max_s, max_c):
+    for k in (2, 3):
+        for parts in itertools.combinations_with_replacement(range(1, max_part + 1), k):
+            if gcd(*parts) != 1:
+                continue
+            for s in range(max_s + 1):
+                for c in sorted({c for p in parts for c in range(p, max_c + 1, p)}):
+                    yield check_lemma2(parts, s, c)
+
+
+@pytest.mark.parametrize("perturb", [(37, 1), (89, 2)])
+def test_perturbed_suites_match_a_per_check_loop(perturb, monkeypatch):
+    """A raised kernel entry shows up as the same failures in the batched
+    suites as in a loop of one-check calls, each with its own table."""
+    _perturb_kernel(monkeypatch, *perturb)
+    runs = [
+        (run_lemma2_suite(max_part=8, max_s=2, max_c=24), _lemma2_loop(8, 2, 24)),
+        (run_lemma3_suite(max_ab=10, max_s=3, max_c=40), _pair_loop(check_lemma3, 10, 3, 40)),
+        (run_decreasing_suite(max_ab=10, max_s=3, max_c=40), _pair_loop(check_decreasing, 10, 3, 40)),
+    ]
+    for report, loop in runs:
+        reports = list(loop)
+        failures = sorted((f for r in reports for f in r.failures), key=lambda f: f.inputs)
+        assert report.failures and report.failures == tuple(failures)
+        assert report.cases_run == sum(r.cases_run for r in reports)
