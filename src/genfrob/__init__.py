@@ -6,9 +6,12 @@ s representations.  This package computes both exactly with overflow
 checking, detects the three-part tuples admitting a closed form for
 g(A; s) at special index families, and ships a brute-force oracle plus
 verification suites for every formula it implements.
+
+numpy, the counting kernel and the verify suites load on first use:
+``KERNEL_BACKEND`` and the verify names below are resolved by the module
+``__getattr__``, so closed-form paths never import them.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .closedform import (
     ClosedFormCase,
     Row,
@@ -50,19 +53,21 @@ from .frobenius import (
     gen_frobenius_brute_many,
     gen_frobenius_two,
 )
-from .verify import (
-    SUITES,
-    VerificationReport,
-    check_decreasing,
-    check_lemma2,
-    check_lemma3,
-    cross_check_theorem1,
-    run_decreasing_suite,
-    run_lemma2_suite,
-    run_lemma3_suite,
-    run_theorem1_suite,
-    run_two_var_suite,
-)
+
+# exported from .verify on first read, by __getattr__ below
+_VERIFY_NAMES = frozenset({
+    "SUITES",
+    "VerificationReport",
+    "check_decreasing",
+    "check_lemma2",
+    "check_lemma3",
+    "cross_check_theorem1",
+    "run_decreasing_suite",
+    "run_lemma2_suite",
+    "run_lemma3_suite",
+    "run_theorem1_suite",
+    "run_two_var_suite",
+})
 
 __version__ = "0.1.0"
 
@@ -118,3 +123,22 @@ __all__ = [
     "run_two_var_suite",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "KERNEL_BACKEND":
+        from . import _kernel
+
+        value = _kernel.BACKEND
+    elif name in _VERIFY_NAMES:
+        from . import verify
+
+        value = getattr(verify, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

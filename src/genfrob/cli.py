@@ -25,7 +25,6 @@ from .frobenius import (
     gen_frobenius_brute_many,
     gen_frobenius_two,
 )
-from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -33,9 +32,21 @@ EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 
 DEFAULT_S_RANGE = "0..5,100,10000"
+# sampled verify runs draw from this seed unless --seed is given, so two
+# identical invocations print the same report
+DEFAULT_SEED = 0
 # Each row costs O(log s), so the number of rows, not the size of s,
 # bounds the run time of a theorem1 table.
 MAX_S_ROWS = 100_000
+
+
+def __getattr__(name):
+    # the suites load numpy and the kernel, so they are imported on first use
+    if name == "SUITES":
+        from .verify import SUITES
+
+        return SUITES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_s_values(text: str) -> list[int]:
@@ -191,6 +202,8 @@ def _cmd_uset(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
+
     runner = SUITES.get(args.suite)
     if runner is None:
         raise InvalidInputError(f"unknown suite {args.suite!r} (choose from {sorted(SUITES)})")
@@ -274,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-c", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="random mode: number of sampled inputs")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"random mode: sampling seed (default {DEFAULT_SEED})")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.set_defaults(handler=_cmd_verify)

@@ -19,13 +19,14 @@ pairwise-coprime products, and to tuples containing 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .denumerant import Coins, table_capacity
 from .errors import CapacityError, InvalidInputError, InvariantError
 from .exactint import I64_MAX, floor_sum, gcd, require_i64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _cumulative_ceil(num: int, den: int, s: int) -> int:
@@ -151,6 +152,8 @@ def table_rows(case: ClosedFormCase, s_values) -> list[Row]:
 
 def _index_sequences(coins, s_max: int) -> list[np.ndarray]:
     """The three index sequences sigma_i(0..s_max) as strictly increasing int64 arrays."""
+    import numpy as np  # an array path: see the denumerant module docstring
+
     coins = _three_parts(coins)
     if s_max < 0:
         raise InvalidInputError("s_max must be non-negative")
@@ -183,6 +186,8 @@ def _sorted_union(arrays) -> np.ndarray:
     Sort plus adjacent dedupe is far cheaper than np.unique here, and the
     stable sort (a merge sort) joins the already sorted runs in linear time.
     """
+    import numpy as np
+
     merged = np.sort(np.concatenate(arrays), kind="stable")
     keep = np.empty(merged.size, dtype=bool)
     keep[:1] = True
@@ -207,6 +212,8 @@ def u_set_prefix(coins, s_max: int) -> tuple[tuple[int, ...], int]:
     union element at or below the smallest truncated maximum can appear
     later; bound is that maximum.
     """
+    import numpy as np
+
     sequences = _index_sequences(coins, s_max)
     bound = min(int(seq[-1]) for seq in sequences)
     kept = [seq[: np.searchsorted(seq, bound, side="right")] for seq in sequences]

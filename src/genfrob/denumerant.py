@@ -7,18 +7,25 @@ splitting identity that peels one part off a larger tuple (for three parts
 it is summed in closed form, O(log n); for more it is summed over the DP
 table of the other parts).  All strategies agree exactly; counts are
 64-bit with overflow signalled.
+
+numpy loads with the first table: this module, ``frobenius`` and
+``closedform`` import it inside the functions that build or read arrays,
+so the closed-form paths (two and three parts, sigma indices, closed g
+values) never import it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernel
 from .errors import CapacityError, InvalidInputError, InvariantError, RangeOverflowError
 from .exactint import floor_sum, gcd, gcd_fold, require_i64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_TABLE = 10**7
 CAPACITY_ENV = "GENFROB_MAX_TABLE"
@@ -134,19 +141,21 @@ def denumerant_two(n: int, a: int, b: int) -> int:
     """d(n; a, b) for coprime a, b by counting one congruence class.
 
     Counts the y in [0, n//b] with ``n - y*b`` divisible by a; each such y
-    fixes x exactly.  Returns 0 for negative n.
+    fixes x exactly.  Returns 0 for negative n.  ``n`` and the count are
+    64-bit values: either outside that range raises RangeOverflowError.
     """
     if a < 1 or b < 1:
         raise InvalidInputError("parts must be positive")
     if gcd(a, b) != 1:
         raise InvalidInputError(f"denumerant_two requires coprime parts, got ({a}, {b})")
+    require_i64(n, "n")
     if n < 0:
         return 0
     y0 = (n * pow(b, -1, a)) % a
     y_top = n // b
     if y0 > y_top:
         return 0
-    return (y_top - y0) // a + 1
+    return require_i64((y_top - y0) // a + 1, "denumerant")
 
 
 def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
@@ -157,9 +166,12 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
     parts use the congruence count and three the closed split sum.  Four
     or more build the DP table over the parts minus one copy of the
     largest part a and sum it along the residue class of n mod a, which
-    saves the last coin pass; n beyond the table capacity raises.
+    saves the last coin pass; n beyond the table capacity raises.  n and
+    the count are 64-bit values: either outside that range raises
+    RangeOverflowError.
     """
     coins = Coins.of(coins)
+    require_i64(n, "n")
     if n < 0:
         return 0
     g = coins.overall_gcd
@@ -180,6 +192,8 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
         )
     i = max(range(len(parts)), key=lambda idx: parts[idx])
     a = parts[i]
+    import numpy as np  # a table path: see the module docstring
+
     rest = denumerant_series(parts[:i] + parts[i + 1 :], n, max_table=max_table)
     # d(n) = sum_j d(n - j*a; rest); the addends are non-negative int64, so
     # the first partial sum to leave int64 wraps negative

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernel
 from .denumerant import Coins, DenumerantTable, table_capacity
 from .errors import CapacityError, InvalidInputError
@@ -108,6 +106,8 @@ def gen_frobenius_brute_many(
     once.  Returns the values in input order and the certifying table.
     ``size_hint`` pre-sizes the first table.
     """
+    import numpy as np  # a table path: see the denumerant module docstring
+
     coins = Coins.of(coins)
     if coins.overall_gcd != 1:
         raise InvalidInputError("g(A; s) requires overall gcd 1")

@@ -274,6 +274,23 @@ def _qualifying_c(parts, max_c: int) -> list[int]:
     return sorted({c for a in parts for c in range(a, max_c + 1, a)})
 
 
+def _require_ray_bounds(part_bound: int, max_s: int, max_c: int, samples) -> None:
+    """Reject bounds that leave a ray suite nothing to check.
+
+    With a part bound and max_c of at least 1, sampling ends: a tuple
+    containing the part 1 is drawn with positive probability, and c = 1
+    qualifies for it.
+    """
+    if part_bound < 1:
+        raise InvalidInputError("the part bound must be at least 1")
+    if max_s < 0:
+        raise InvalidInputError("max_s must be non-negative")
+    if max_c < 1:
+        raise InvalidInputError("max_c must be at least 1")
+    if samples is not None and samples < 0:
+        raise InvalidInputError("samples must be non-negative")
+
+
 def _enumerate(tuples, max_s: int, max_c: int, samples, seed, draw_tuple):
     """The checks of a ray suite, grouped as ``{tuple: [(s, c), ...]}``.
 
@@ -317,6 +334,7 @@ def run_lemma2_suite(
 ) -> VerificationReport:
     """All (A, s, c) with parts <= max_part, gcd 1, s <= max_s, qualifying c <= max_c."""
     start = time.perf_counter()
+    _require_ray_bounds(max_part, max_s, max_c, samples)
     tuples = (
         parts
         for k in arities
@@ -335,6 +353,7 @@ def run_lemma2_suite(
 
 def _run_pair_suite(suite, evaluate, max_ab, max_s, max_c, samples, seed, max_table):
     start = time.perf_counter()
+    _require_ray_bounds(max_ab, max_s, max_c, samples)
 
     def draw(rng):
         a, b = rng.randint(1, max_ab), rng.randint(1, max_ab)

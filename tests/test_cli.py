@@ -34,6 +34,13 @@ class TestDenumerant:
         code, _, err = run_cli(capsys, "denumerant", "--tuple", "2,3,5,7", "--n", "5000")
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize(
+        "parts, n", [("1,1", "9223372036854775807"), ("1,2", str(10**23))]
+    )
+    def test_two_part_count_past_int64_exits_3(self, capsys, parts, n):
+        code, out, err = run_cli(capsys, "denumerant", "--tuple", parts, "--n", n)
+        assert code == 3 and out == "" and "64-bit" in err
+
 
 class TestFrobenius:
     def test_two_var(self, capsys):

@@ -122,6 +122,44 @@ class TestResidueSum:
             denumerant(lo + 1, (1,) * k)
 
 
+class TestInt64Boundary:
+    """n exactly at the signed 64-bit maximum, and one past it, for k = 2, 3, 4."""
+
+    I64_MAX = (1 << 63) - 1
+
+    def test_two_parts(self):
+        n = self.I64_MAX  # odd, so n - 3y is even exactly for odd y <= n // 3
+        assert denumerant(n, (2, 3)) == denumerant_two(n, 2, 3) == (n // 3 + 1) // 2
+        for call in (lambda: denumerant(n + 1, (2, 3)), lambda: denumerant_two(n + 1, 2, 3)):
+            with pytest.raises(RangeOverflowError):
+                call()
+
+    def test_two_part_count_past_int64(self):
+        # d(n; 1, 1) = n + 1 and d(n; 1, 2) = n // 2 + 1
+        with pytest.raises(RangeOverflowError):
+            denumerant(self.I64_MAX, (1, 1))
+        with pytest.raises(RangeOverflowError):
+            denumerant(10**23, (1, 2))
+
+    def test_three_parts(self):
+        # parts near 2^22 keep d(2^63 - 1) near 2^59; peeling one copy of a
+        # gives d(n; a, b, c) = d(n - a; a, b, c) + d(n; b, c)
+        n, parts = self.I64_MAX, (4194301, 4194303, 4194305)
+        count = denumerant(n, parts)
+        assert 0 < count <= self.I64_MAX
+        assert count == denumerant(n - parts[0], parts) + denumerant(n, parts[1:])
+        with pytest.raises(RangeOverflowError):
+            denumerant(n + 1, parts)
+        with pytest.raises(RangeOverflowError):  # the count itself leaves int64
+            denumerant(n, (2, 3, 5))
+
+    def test_four_parts(self):
+        with pytest.raises(CapacityError):
+            denumerant(self.I64_MAX, (2, 3, 5, 7))
+        with pytest.raises(RangeOverflowError):
+            denumerant(self.I64_MAX + 1, (2, 3, 5, 7))
+
+
 def _random_triples(rng, count, *, bound=40):
     """``count`` triples with overall gcd 1; every other one has gcd > 1
     between the two parts the split does not peel."""

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -227,3 +230,67 @@ def test_perturbed_suites_match_a_per_check_loop(perturb, monkeypatch):
         failures = sorted((f for r in reports for f in r.failures), key=lambda f: f.inputs)
         assert report.failures and report.failures == tuple(failures)
         assert report.cases_run == sum(r.cases_run for r in reports)
+
+
+class TestSampledBounds:
+    """Bounds that leave a ray suite nothing to check are invalid input
+    (exit 2), in either mode, and sampled runs have a fixed default seed."""
+
+    BAD = [
+        ("lemma2", {"max_part": 3, "max_c": 0}),
+        ("lemma3", {"max_ab": 5, "max_c": 0}),
+        ("decreasing", {"max_ab": 5, "max_c": 0}),
+        ("lemma2", {"max_part": 0}),
+        ("lemma3", {"max_ab": 0}),
+        ("decreasing", {"max_ab": 0}),
+        ("lemma2", {"max_s": -1}),
+        ("lemma3", {"max_s": -1}),
+        ("decreasing", {"max_s": -1}),
+        ("lemma2", {"samples": -3}),
+        ("lemma3", {"samples": -3}),
+        ("decreasing", {"samples": -3}),
+    ]
+
+    @pytest.mark.parametrize("suite, bounds", BAD)
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_bad_bounds_raise(self, suite, bounds, sampled):
+        kwargs = dict(bounds, seed=1)
+        if sampled:
+            kwargs.setdefault("samples", 3)
+        with pytest.raises(InvalidInputError):
+            SUITES[suite](**kwargs)
+
+    @pytest.mark.parametrize("suite, bounds", BAD)
+    def test_bad_bounds_exit_2(self, capsys, suite, bounds):
+        argv = ["verify", "--suite", suite]
+        for key, value in bounds.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        if "samples" not in bounds:
+            argv += ["--samples", "3"]
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_former_hang_ends_in_a_fresh_process(self):
+        # with max_c 0 no tuple has a qualifying c; this once redrew forever
+        src = str(Path(_kernel.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["verify", "--suite", "lemma2", "--max-part", "3", "--max-c", "0", "--samples", "3", "--seed", "1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "genfrob.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2 and "max_c" in done.stderr
+
+    def test_zero_samples_is_an_empty_pass(self):
+        report = run_lemma3_suite(max_ab=5, samples=0, seed=1)
+        assert report.passed and report.cases_run == 0
+
+    def test_default_seed_gives_one_report(self, capsys):
+        argv = ["verify", "--suite", "lemma2", "--max-part", "9", "--max-s", "2",
+                "--max-c", "30", "--samples", "40", "--format", "jsonl"]
+        outputs = []
+        for extra in ([], [], ["--seed", "0"]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0].splitlines()[0])["cases_run"] > 0
