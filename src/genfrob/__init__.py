@@ -7,9 +7,9 @@ checking, detects the three-part tuples admitting a closed form for
 g(A; s) at special index families, and ships a brute-force oracle plus
 verification suites for every formula it implements.
 
-numpy, the counting kernel and the verify suites load on first use:
-``KERNEL_BACKEND`` and the verify names below are resolved by the module
-``__getattr__``, so closed-form paths never import them.
+numpy and the verify suites load on first use: the verify names below
+are resolved by the module ``__getattr__``, so closed-form paths never
+import them.
 """
 
 from .closedform import (
@@ -30,22 +30,10 @@ from .denumerant import (
     denumerant,
     denumerant_series,
     denumerant_two,
-    split_by_part,
     table_capacity,
 )
 from .errors import CapacityError, GenfrobError, InvalidInputError, InvariantError, RangeOverflowError
-from .exactint import (
-    CheckedInt,
-    ceil_div,
-    checked_add,
-    checked_mul,
-    checked_sub,
-    floor_sum,
-    gcd,
-    gcd_fold,
-    lcm,
-    lcm_fold,
-)
+from .exactint import floor_sum, gcd, gcd_fold
 from .frobenius import (
     GenFrobResult,
     beck_kifer_reduce,
@@ -71,6 +59,9 @@ _VERIFY_NAMES = frozenset({
 
 __version__ = "0.1.0"
 
+# the one counting kernel is numpy's
+KERNEL_BACKEND = "python"
+
 __all__ = [
     "KERNEL_BACKEND",
     "ClosedFormCase",
@@ -88,23 +79,15 @@ __all__ = [
     "denumerant",
     "denumerant_series",
     "denumerant_two",
-    "split_by_part",
     "table_capacity",
     "CapacityError",
     "GenfrobError",
     "InvalidInputError",
     "InvariantError",
     "RangeOverflowError",
-    "CheckedInt",
-    "ceil_div",
-    "checked_add",
-    "checked_mul",
-    "checked_sub",
     "floor_sum",
     "gcd",
     "gcd_fold",
-    "lcm",
-    "lcm_fold",
     "GenFrobResult",
     "beck_kifer_reduce",
     "gen_frobenius_brute",
@@ -126,16 +109,11 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name == "KERNEL_BACKEND":
-        from . import _kernel
-
-        value = _kernel.BACKEND
-    elif name in _VERIFY_NAMES:
-        from . import verify
-
-        value = getattr(verify, name)
-    else:
+    if name not in _VERIFY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = getattr(verify, name)
     globals()[name] = value
     return value
 

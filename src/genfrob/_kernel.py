@@ -1,4 +1,4 @@
-"""numpy counting kernel (fallback when the compiled one is absent).
+"""The counting kernel: one-coin-at-a-time prefix convolution in numpy.
 
 For a single coin of size ``a`` the in-order update ``c[n] += c[n-a]`` is a
 running prefix sum along every residue class mod ``a``, so one coin pass is
@@ -10,13 +10,11 @@ copy.  Scratch entries past ``n_max`` only feed later scratch entries.  The
 rows are accumulated in blocks of about :data:`BLOCK` entries, carrying the
 previous block's last row into the next block's first, so each column walk
 stays in cache instead of striding down the whole table.
+
+numpy loads with the first table (see the denumerant module docstring).
 """
 
-import numpy as np
-
-from ..errors import RangeOverflowError
-
-BACKEND = "python"
+from .errors import RangeOverflowError
 
 # entries per accumulated block: 256 KiB of int64, sized to stay in a per-core L2 cache
 BLOCK = 1 << 15
@@ -28,6 +26,8 @@ def build_counts(parts, n_max):
     Wraparound is detected after every coin pass (the first wrapped partial
     sum is always negative) and raised as :class:`RangeOverflowError`.
     """
+    import numpy as np
+
     parts = [int(part) for part in parts]
     width = max([a for a in parts if 1 <= a <= n_max], default=1)
     buf = np.zeros(n_max + width, dtype=np.int64)
@@ -55,6 +55,8 @@ def build_counts(parts, n_max):
 def _accumulate_blocks(view, step):
     """In place, ``step`` rows at a time: each row of ``view`` becomes the
     sum of itself and all rows above it."""
+    import numpy as np
+
     np.add.accumulate(view[:step], axis=0, out=view[:step])
     for top in range(step, view.shape[0], step):
         block = view[top : top + step]

@@ -237,8 +237,11 @@ def _cmd_verify(args) -> int:
         ]
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write --output: {exc}") from None
     else:
         sys.stdout.write(text)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)

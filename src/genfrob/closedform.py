@@ -114,6 +114,19 @@ def _three_parts(coins) -> Coins:
     return coins
 
 
+def _pivot_coefficients(a, i: int) -> tuple[int, int, int, int, int]:
+    """(j, k, d, num, den) for pivot index ``i`` (0-based) of the parts ``a``.
+
+    j < k are the non-pivot indices, d = gcd(a[j], a[k]), and num/den =
+    a[j]*a[k] / (a[i]*d^2) is the sigma-step coefficient in lowest terms.
+    """
+    j, k = (x for x in range(3) if x != i)
+    d = gcd(a[j], a[k])
+    num, den = a[j] * a[k], a[i] * d * d
+    shrink = gcd(num, den)
+    return j, k, d, num // shrink, den // shrink
+
+
 def detect_cases(coins) -> tuple[ClosedFormCase, ...]:
     """Every applicable configuration, ordered by pivot.
 
@@ -127,15 +140,10 @@ def detect_cases(coins) -> tuple[ClosedFormCase, ...]:
     a = coins.parts
     cases = []
     for i in range(3):
-        j, k = (x for x in range(3) if x != i)
-        d = gcd(a[j], a[k])
+        j, k, d, num, den = _pivot_coefficients(a, i)
         for m in (j, k):
             if a[i] % (a[m] // d) == 0:
-                num, den = a[j] * a[k], a[i] * d * d
-                shrink = gcd(num, den)
-                cases.append(
-                    ClosedFormCase(coins, i + 1, d, m + 1, num // shrink, den // shrink)
-                )
+                cases.append(ClosedFormCase(coins, i + 1, d, m + 1, num, den))
                 break
     return tuple(cases)
 
@@ -163,11 +171,7 @@ def _index_sequences(coins, s_max: int) -> list[np.ndarray]:
     a = coins.parts
     sequences = []
     for i in range(3):
-        j, k = (x for x in range(3) if x != i)
-        d = gcd(a[j], a[k])
-        num, den = a[j] * a[k], a[i] * d * d
-        shrink = gcd(num, den)
-        num, den = num // shrink, den // shrink
+        _, _, _, num, den = _pivot_coefficients(a, i)
         # the last index is the largest, so every term and partial sum fits
         require_i64(_cumulative_ceil(num, den, s_max), "sigma index")
         if s_max * num + den - 1 <= I64_MAX:

@@ -241,22 +241,3 @@ def _sum_mod_progression(terms: int, modulus: int, factor: int, first: int, step
     linear = terms * start + stride * (terms * (terms - 1) // 2)
     return linear - modulus * floor_sum(terms, modulus, stride, start)
 
-
-def split_by_part(m: int, a1: int, rest, *, max_table: int | None = None) -> int:
-    """Sum of d(m - j*a1; rest) over j = 0..m//a1.
-
-    Equals ``denumerant(m, (a1,) + rest)``: every representation over the
-    full tuple is classified by its a1-coordinate.
-    """
-    rest = Coins.of(rest)
-    if a1 < 1:
-        raise InvalidInputError("the split part must be positive")
-    if m < 0:
-        raise InvalidInputError("split_by_part requires a non-negative target")
-    cap = table_capacity(max_table)
-    if m + 1 <= cap:
-        table = denumerant_series(rest, m, max_table=max_table)
-        total = sum(table.count(m - j * a1) for j in range(m // a1 + 1))
-    else:
-        total = sum(denumerant(m - j * a1, rest, max_table=max_table) for j in range(m // a1 + 1))
-    return require_i64(total, "denumerant")

@@ -245,6 +245,15 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(target.read_text().splitlines()[0])["passed"] is True
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "twovar", "--max-ab", "3", "--max-s", "1",
+            "--output", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2 and "unknown suite" in err

@@ -1,4 +1,4 @@
-"""Start-up: closed-form paths load no numpy, kernel or verify code.
+"""Start-up: closed-form paths load no numpy or verify code.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported everything.
@@ -15,8 +15,7 @@ import pytest
 import genfrob
 
 SRC = str(Path(genfrob.__file__).resolve().parent.parent)
-HEAVY = ("numpy", "genfrob.verify", "genfrob._kernel._pykernel", "genfrob._kernel._ckernel")
-KERNELS = {"genfrob._kernel._pykernel", "genfrob._kernel._ckernel"}
+HEAVY = ("numpy", "genfrob.verify")
 
 
 def _fresh(code: str, **env) -> list:
@@ -52,8 +51,7 @@ assert not set(genfrob.__all__) - set(dir(genfrob))
 assert genfrob.denumerant(10**9, (2, 3)) == 166666667
 assert genfrob.denumerant(120, (10, 15, 21)) == 6
 assert genfrob.gen_frobenius_two(7, 11, 3) == 290
-from genfrob import _kernel
-assert {"BACKEND", "build_counts", "available_backends"} <= set(dir(_kernel))
+assert genfrob.KERNEL_BACKEND == "python"
 """
     assert _fresh(code) == []
 
@@ -87,19 +85,16 @@ def test_frobenius_by_a_sigma_match_stays_cold():
     "argv, expected",
     [
         (["uset", "--tuple", "10,15,21", "--s-max", "20"], {"numpy"}),
-        (["frobenius", "--tuple", "7,11", "--s", "3", "--method", "brute"], {"numpy", "kernel"}),
-        (["denumerant", "--tuple", "2,3,5,7", "--n", "100"], {"numpy", "kernel"}),
+        (["frobenius", "--tuple", "7,11", "--s", "3", "--method", "brute"], {"numpy"}),
+        (["denumerant", "--tuple", "2,3,5,7", "--n", "100"], {"numpy"}),
         (
             ["verify", "--suite", "twovar", "--max-ab", "4", "--max-s", "1"],
-            {"numpy", "kernel", "genfrob.verify"},
+            {"numpy", "genfrob.verify"},
         ),
     ],
 )
 def test_table_subcommands_load_the_table_code(argv, expected):
-    loaded = set(_fresh(_cli(argv)))
-    if loaded & KERNELS:
-        loaded = (loaded - KERNELS) | {"kernel"}
-    assert expected <= loaded
+    assert expected <= set(_fresh(_cli(argv)))
 
 
 def test_star_import_binds_every_exported_name():
@@ -110,11 +105,12 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_no_ext_env_selects_the_python_backend():
+    """``GENFROB_NO_EXT`` no longer picks anything, but setting it still
+    leaves the one numpy kernel in place."""
     code = """
 import genfrob
 from genfrob import _kernel
-from genfrob._kernel import _pykernel
-assert genfrob.KERNEL_BACKEND == _kernel.BACKEND == "python"
-assert _kernel.build_counts is _pykernel.build_counts
+assert genfrob.KERNEL_BACKEND == "python"
+assert list(_kernel.build_counts((2, 3), 6)) == [1, 0, 1, 1, 1, 1, 2]
 """
-    assert "genfrob._kernel._ckernel" not in _fresh(code, GENFROB_NO_EXT="1")
+    assert _fresh(code, GENFROB_NO_EXT="1") == ["numpy"]

@@ -13,7 +13,6 @@ from genfrob.denumerant import (
     denumerant,
     denumerant_series,
     denumerant_two,
-    split_by_part,
 )
 from genfrob.errors import CapacityError, InvalidInputError, RangeOverflowError
 from genfrob.exactint import gcd, gcd_fold
@@ -267,26 +266,6 @@ class TestDenumerantTwo:
             a = 1
         table = denumerant_series((a, b), n)
         assert denumerant_two(n, a, b) == table.count(n)
-
-
-class TestSplitByPart:
-    def test_contract_examples(self):
-        assert split_by_part(89, 10, (5, 7)) == denumerant(89, (10, 5, 7)) == 14
-        assert split_by_part(0, 4, (3, 5)) == 1
-        assert split_by_part(20, 100, (3, 5)) == denumerant(20, (3, 5)) == 2
-
-    def test_rejects_negative_target(self):
-        with pytest.raises(InvalidInputError):
-            split_by_part(-1, 4, (3, 5))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        m=st.integers(0, 120),
-        a1=st.integers(1, 30),
-        rest=st.lists(st.integers(1, 20), min_size=2, max_size=3),
-    )
-    def test_equals_prepended_denumerant(self, m, a1, rest):
-        assert split_by_part(m, a1, tuple(rest)) == denumerant(m, (a1,) + tuple(rest))
 
 
 class TestInvariants:

@@ -272,7 +272,7 @@ class TestSampledBounds:
 
     def test_former_hang_ends_in_a_fresh_process(self):
         # with max_c 0 no tuple has a qualifying c; this once redrew forever
-        src = str(Path(_kernel.__file__).resolve().parents[2])
+        src = str(Path(_kernel.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["verify", "--suite", "lemma2", "--max-part", "3", "--max-c", "0", "--samples", "3", "--seed", "1"]
         done = subprocess.run(
