@@ -5,7 +5,7 @@ d(n; A) is the number of non-negative integer solutions of
 counting kernel, a direct congruence count for two coprime parts, and the
 splitting identity that peels one part off a larger tuple (for three parts
 it is summed in closed form, O(log n); for more it is summed over the DP
-table of the other parts).  All strategies agree exactly; counts are
+table of the other parts as that table streams past, chunk by chunk).  All strategies agree exactly; counts are
 64-bit with overflow signalled.
 
 numpy loads with the first table: this module, ``frobenius`` and
@@ -164,9 +164,10 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
     Negative n counts 0.  A common factor g of all parts is divided out
     first (n must be a multiple of g to be representable at all).  Two
     parts use the congruence count and three the closed split sum.  Four
-    or more build the DP table over the parts minus one copy of the
+    or more stream the DP table over the parts minus one copy of the
     largest part a and sum it along the residue class of n mod a, which
-    saves the last coin pass; n beyond the table capacity raises.  n and
+    saves the last coin pass and holds one chunk of the table at a time;
+    n beyond the table capacity raises.  n and
     the count are 64-bit values: either outside that range raises
     RangeOverflowError.
     """
@@ -194,13 +195,18 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
     a = parts[i]
     import numpy as np  # a table path: see the module docstring
 
-    rest = denumerant_series(parts[:i] + parts[i + 1 :], n, max_table=max_table)
-    # d(n) = sum_j d(n - j*a; rest); the addends are non-negative int64, so
-    # the first partial sum to leave int64 wraps negative
-    sums = np.cumsum(rest.counts[n % a :: a])
-    if sums.min() < 0:
-        raise RangeOverflowError(f"d({n}; {parts}) exceeds int64")
-    return int(sums[-1])
+    # d(n) = sum_j d(n - j*a; rest), summed chunk by chunk as the table of
+    # the other parts streams past, so no n-entry array is ever held.  The
+    # addends are non-negative int64, so the first partial sum within a
+    # chunk to leave int64 wraps negative; the running total is exact.
+    total = 0
+    for lo, chunk in _kernel.stream_counts(parts[:i] + parts[i + 1 :], n):
+        sums = np.cumsum(chunk[(n - lo) % a :: a])
+        if sums.size:
+            if sums[sums.argmin()] < 0:
+                raise RangeOverflowError(f"d({n}; {parts}) exceeds int64")
+            total += int(sums[-1])
+    return require_i64(total, "denumerant")
 
 
 def _split_large(n: int, parts: tuple[int, ...]) -> int:

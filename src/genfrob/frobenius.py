@@ -97,14 +97,15 @@ def gen_frobenius_brute_many(
 ) -> tuple[list[int], DenumerantTable]:
     """g(A; s) for every s in ``s_values`` (any order, repeats allowed) from one table.
 
-    The table grows geometrically until the last index n with
-    d(n; A) <= max(s) is followed by min(A) in-table integers whose counts
-    all exceed max(s); by the monotone-shift property d(n + a) >= d(n)
-    that window proves no larger qualifying integer exists.  Every smaller
-    s has its value below that one, so the same window certifies it, and
-    the suffix minimum of the counts up to there gives all of them at
-    once.  Returns the values in input order and the certifying table.
-    ``size_hint`` pre-sizes the first table.
+    The table reaches past the last index n with d(n; A) <= max(s) until
+    min(A) in-table integers follow it, whose counts all exceed max(s); by
+    the monotone-shift property d(n + a) >= d(n) that window proves no
+    larger qualifying integer exists.  A first table of ``size_hint``
+    entries (1024 by default) is built in one buffer; when it holds no
+    window, the table is streamed from 0 into one array until it does,
+    with no rebuild.  Every smaller s has its value below that one, so the
+    same window certifies it, and the suffix minimum of the counts up to
+    there gives all of them at once.  Returns the values in input order and the certifying table.
     """
     import numpy as np  # a table path: see the denumerant module docstring
 
@@ -126,19 +127,12 @@ def gen_frobenius_brute_many(
         # reaching this size guarantees the window is in-table
         hard_limit = min(hard_limit, max(pair_bound + window, window))
     n_max = min(hard_limit, max(window, int(size_hint) if size_hint else 1024))
-    while True:
-        counts = _kernel.build_counts(parts, n_max)
-        # last index with a count <= s_top, by a reversed scan of the mask:
-        # unlike flatnonzero, argmax allocates no index array
-        from_end = int(np.argmax(counts[::-1] <= s_top))
-        top = n_max - from_end if counts[n_max - from_end] <= s_top else -1
-        if top + window <= n_max:
-            break
+    counts = _kernel.build_counts(parts, n_max)
+    top = _last_at_most(counts, s_top)
+    if top + window > n_max:
         if n_max >= hard_limit:
-            raise CapacityError(
-                f"no certifying window within {n_max + 1} table entries (capacity {cap})"
-            )
-        n_max = min(n_max * 2, hard_limit)
+            raise _no_window(hard_limit, cap)
+        counts, top = _stream_search(parts, s_top, window, hard_limit, cap, 2 * (n_max + 1))
     counts.setflags(write=False)
     table = DenumerantTable(coins, counts)
     if top < 0 or all(s == s_top for s in s_values):
@@ -148,6 +142,45 @@ def gen_frobenius_brute_many(
     suffix_min = np.minimum.accumulate(counts[top::-1])[::-1]
     found = np.searchsorted(suffix_min, s_values, side="right") - 1
     return [int(v) for v in found], table
+
+
+def _last_at_most(counts, s: int) -> int:
+    """Index of the last count <= s, or -1.  A reversed argmax on the mask:
+    unlike flatnonzero, it allocates no index array."""
+    import numpy as np
+
+    last = counts.size - 1 - int(np.argmax(counts[::-1] <= s))
+    return last if counts[last] <= s else -1
+
+
+def _no_window(hard_limit: int, cap: int) -> CapacityError:
+    return CapacityError(
+        f"no certifying window within {hard_limit + 1} table entries (capacity {cap})"
+    )
+
+
+def _stream_search(parts, s_top: int, window: int, hard_limit: int, cap: int, first: int):
+    """The table from 0 up to the end of the certifying window, and the last
+    index with a count <= s_top in it.
+
+    The kernel streams chunks, ``first`` entries and doubling, into one
+    array of ``hard_limit + 1`` entries.  Its pages are mapped only as
+    chunks land in them, so the entries past the window cost nothing, and
+    no entry is computed twice.
+    """
+    import numpy as np
+
+    table = np.empty(hard_limit + 1, dtype=np.int64)
+    top = -1
+    for lo, chunk in _kernel.stream_counts(parts, hard_limit, first):
+        hi = lo + chunk.size
+        table[lo:hi] = chunk
+        last = _last_at_most(chunk, s_top)
+        if last >= 0:
+            top = lo + last
+        if top + window < hi:
+            return table[:hi], top
+    raise _no_window(hard_limit, cap)
 
 
 def beck_kifer_reduce(coins, s: int, *, max_table: int | None = None) -> GenFrobResult:

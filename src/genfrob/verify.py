@@ -303,17 +303,21 @@ def _enumerate(tuples, max_s: int, max_c: int, samples, seed, draw_tuple):
     work = {}
     if samples is None:
         for parts in tuples:
+            choices = _qualifying_c(parts, max_c)
             for s in range(max_s + 1):
-                for c in _qualifying_c(parts, max_c):
+                for c in choices:
                     work.setdefault(parts, []).append((s, c))
         return work
     rng = random.Random(seed)
     drawn = 0
+    qualifying = {}  # tuple -> its c list, built on the tuple's first draw
     while drawn < samples:
         parts = draw_tuple(rng)
         if parts is None:
             continue
-        choices = _qualifying_c(parts, max_c)
+        choices = qualifying.get(parts)
+        if choices is None:
+            choices = qualifying[parts] = _qualifying_c(parts, max_c)
         if not choices:
             continue
         s = rng.randint(0, max_s)
@@ -407,8 +411,6 @@ def _two_var(pair, max_s: int, max_table):
     """Two-part closed form versus the batched search, and d(g(a,b;s); a,b) == s."""
     a, b = pair
     expected = [gen_frobenius_two(a, b, s) for s in range(max_s + 1)]
-    if not expected:
-        return 0, []
     coins = Coins(pair)
     got, _ = gen_frobenius_brute_many(
         coins, range(max_s + 1), max_table=max_table, size_hint=max(expected) + min(a, b) + 2
@@ -431,10 +433,18 @@ def run_two_var_suite(
     samples: int | None = None,
     seed: int | None = None,
 ) -> VerificationReport:
-    """Two-part closed form versus brute force, plus d(g(a,b;s); a,b) == s."""
+    """Two-part closed form versus brute force, plus d(g(a,b;s); a,b) == s.
+
+    Bounds that leave nothing to check (max_ab < 1, max_s < 0) raise
+    :class:`InvalidInputError`, as in the other suites.
+    """
     start = time.perf_counter()
     if samples is not None:
         raise InvalidInputError("the two-variable sweep is exhaustive only")
+    if max_ab < 1:
+        raise InvalidInputError("max_ab must be at least 1")
+    if max_s < 0:
+        raise InvalidInputError("max_s must be non-negative")
     work = {pair: max_s for pair in _coprime_pairs(max_ab)}
     return _run("twovar", _two_var, work, max_table, start)
 

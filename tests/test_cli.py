@@ -272,6 +272,11 @@ class TestVerify:
         assert code == 1
         assert "1 failures" in out and "FAIL" in out
 
+    @pytest.mark.parametrize("bounds", [("--max-ab", "0"), ("--max-ab", "5", "--max-s", "-1")])
+    def test_twovar_bounds_with_nothing_to_check_exit_2(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "verify", "--suite", "twovar", *bounds)
+        assert code == 2 and out == "" and "error" in err
+
     def test_bounds_outside_the_runner_signature_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "twovar", "--max-c", "5")
         assert code == 2 and "not applicable" in err

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genfrob import _kernel
+from genfrob._kernel import CHUNK
 from genfrob.denumerant import (
     Coins,
     _split_large,
@@ -303,3 +305,57 @@ class TestInvariants:
                 counts = denumerant_series((a, b), 500).counts
                 for n in range(0, 501, 7):
                     assert denumerant_two(n, a, b) == counts[n]
+
+
+class TestStreamedResidueSum:
+    """k >= 4 parts sum the streamed table of the other parts chunk by chunk."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "CHUNK", 16)
+        monkeypatch.setattr(_kernel, "CHUNK_ROWS", 1)
+
+    @staticmethod
+    def _series_residue_sum(parts, n):
+        a = max(parts)
+        rest = list(parts)
+        rest.remove(a)
+        return sum(int(x) for x in denumerant_series(rest, n).counts[n % a :: a])
+
+    def test_across_real_chunk_boundaries(self):
+        parts = (3, 7, 11, 13)
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 3 * CHUNK + 5):
+            assert denumerant(n, parts) == self._series_residue_sum(parts, n), n
+
+    def test_across_small_chunk_boundaries(self, small_chunks):
+        rng = random.Random(27)
+        for _ in range(40):
+            parts = tuple(rng.randint(1, 40) for _ in range(rng.randint(4, 6)))
+            n_max = rng.randint(0, 300)
+            expected = inplace_dp_counts(parts, n_max)
+            for n in {15, 16, 17, 47, 48, 49, n_max}:
+                if n <= n_max:
+                    assert denumerant(n, parts) == expected[n], (parts, n)
+
+    def test_holds_no_table_of_n_entries(self):
+        import tracemalloc
+
+        n = 2_000_000  # its table would take 16 MB
+        tracemalloc.start()
+        try:
+            value = denumerant(n, (147, 149, 48, 72))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == self._series_residue_sum((147, 149, 48, 72), n)
+        assert peak < 2 << 20
+
+    def test_capacity_is_unchanged(self, monkeypatch):
+        parts = (3, 7, 11, 13)
+        n = CHUNK + 100
+        assert denumerant(n, parts, max_table=n + 1) == self._series_residue_sum(parts, n)
+        with pytest.raises(CapacityError):
+            denumerant(n, parts, max_table=n)
+        monkeypatch.setenv("GENFROB_MAX_TABLE", str(n))
+        with pytest.raises(CapacityError):
+            denumerant(n, parts)

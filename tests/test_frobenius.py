@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genfrob import _kernel
 from genfrob.denumerant import denumerant
 from genfrob.errors import CapacityError, InvalidInputError
 from genfrob.frobenius import (
@@ -17,7 +20,7 @@ from genfrob.frobenius import (
     gen_frobenius_brute_many,
     gen_frobenius_two,
 )
-from oracles import naive_gen_frobenius, scan_gen_frobenius
+from oracles import inplace_dp_counts, naive_gen_frobenius, scan_gen_frobenius
 
 # g(A; 0..20) and the s = 20 witness window of 36 seeded random tuples
 # (k = 2..4, parts <= 15, unsorted, some with repeated parts), recorded
@@ -224,3 +227,72 @@ class TestBeckKiferReduce:
     def test_rejects_gcd_above_one(self):
         with pytest.raises(InvalidInputError):
             beck_kifer_reduce((4, 6, 8), 0)
+
+
+class TestStreamedSearch:
+    """A first table that holds no window is followed by one streamed table."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "CHUNK", 16)
+        monkeypatch.setattr(_kernel, "CHUNK_ROWS", 1)
+
+    def test_recorded_values_over_many_chunks(self, small_chunks):
+        # size_hint=1 makes the first table min(A) entries long, so every
+        # search with a window past it streams chunks of 2 * (min(A) + 1)
+        # entries, doubling up to 16 or the largest part
+        streamed = 0
+        for entry in BRUTE_VALUES:
+            parts, recorded = tuple(entry["parts"]), entry["g"]
+            values, table = gen_frobenius_brute_many(parts, range(21), size_hint=1)
+            assert values == recorded, parts
+            streamed += table.n_max + 1 > 16
+            result = gen_frobenius_brute(parts, 20, size_hint=1)
+            assert [list(pair) for pair in result.witness_window] == entry["window_s20"]
+        assert streamed >= 30
+
+    def test_random_tuples_match_the_scan(self, small_chunks):
+        rng = random.Random(27)
+        for _ in range(25):
+            parts = tuple(rng.randint(1, 30) for _ in range(rng.randint(2, 4)))
+            if math.gcd(*parts) != 1:
+                continue
+            s_values = [rng.randint(0, 15) for _ in range(rng.randint(1, 5))]
+            expected = scan_gen_frobenius(parts, s_values)
+            assert gen_frobenius_brute_many(parts, s_values, size_hint=1)[0] == expected, parts
+            assert gen_frobenius_brute_many(parts, s_values)[0] == expected, parts
+
+    # d(n; 5, 7, 9) passes 3.6e7 near n = 150_000, past two real chunks
+    PARTS, S = (5, 7, 9), 36_000_000
+
+    def _expected(self):
+        counts = inplace_dp_counts(self.PARTS, 160_000)
+        g = max(n for n, d in enumerate(counts) if d <= self.S)
+        assert g + 5 < len(counts) and all(d > self.S for d in counts[g + 1 : g + 6])
+        return g, counts
+
+    def test_search_over_real_chunks(self):
+        g, counts = self._expected()
+        assert g > 2 * _kernel.CHUNK
+        result = gen_frobenius_brute(self.PARTS, self.S)
+        assert result.value == g
+        assert list(result.witness_window) == [(n, counts[n]) for n in range(g + 1, g + 6)]
+        values, table = gen_frobenius_brute_many(self.PARTS, [self.S, 0, 1000])
+        last = [max(n for n, d in enumerate(counts) if d <= s) for s in (0, 1000)]
+        assert values == [g, *last] and last[0] == 13
+        assert not table.counts.flags.writeable
+        assert table.n_max >= g + 5
+        assert table.counts[: len(counts)].tolist() == counts[: table.n_max + 1]
+
+    def test_capacity_error_at_the_same_entry_count(self, monkeypatch):
+        g, _ = self._expected()
+        entries = g + 5 + 1  # through the last entry of the window
+        assert gen_frobenius_brute(self.PARTS, self.S, max_table=entries).value == g
+        message = re.escape(
+            f"no certifying window within {entries - 1} table entries (capacity {entries - 1})"
+        )
+        with pytest.raises(CapacityError, match=message):
+            gen_frobenius_brute(self.PARTS, self.S, max_table=entries - 1)
+        monkeypatch.setenv("GENFROB_MAX_TABLE", str(entries - 1))
+        with pytest.raises(CapacityError, match=message):
+            gen_frobenius_brute_many(self.PARTS, [self.S])

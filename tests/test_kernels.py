@@ -1,5 +1,7 @@
-"""The counting kernel: correctness against the naive and in-place DP oracles."""
+"""The counting kernel, one-buffer and streamed: correctness against the
+naive and in-place DP oracles."""
 
+import math
 import random
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genfrob._kernel import BLOCK, build_counts
+from genfrob import _kernel
+from genfrob._kernel import BLOCK, CHUNK, build_counts, stream_counts
 from genfrob.errors import RangeOverflowError
 from oracles import inplace_dp_counts, naive_denumerant
 
@@ -70,3 +73,107 @@ def test_overflow_detected():
     with pytest.raises(RangeOverflowError):
         build_counts((1,) * 20, 200)
 
+
+
+# --- the chunk-major stream -------------------------------------------------
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 16 entries, widened only to the largest part, so short
+    tables cross many chunk boundaries."""
+    monkeypatch.setattr(_kernel, "CHUNK", 16)
+    monkeypatch.setattr(_kernel, "CHUNK_ROWS", 1)
+    return 16
+
+
+def _streamed(parts, n_max, first=None):
+    args = (parts, n_max) if first is None else (parts, n_max, first)
+    pieces, end = [], 0
+    for lo, chunk in stream_counts(*args):
+        assert lo == end
+        pieces += chunk.tolist()
+        end += chunk.size
+    return pieces
+
+
+@pytest.mark.parametrize("parts", [(3, 5, 7), (1, 2, 16), (4, 9, 10, 15), (6, 10, 15)])
+def test_every_length_around_chunk_boundaries(small_chunks, parts):
+    for boundary in (small_chunks, 2 * small_chunks, 5 * small_chunks):
+        for n_max in (boundary - 2, boundary - 1, boundary):  # lengths boundary - 1 .. + 1
+            expected = inplace_dp_counts(parts, n_max)
+            assert build_counts(parts, n_max).tolist() == expected, (parts, n_max)
+            assert _streamed(parts, n_max) == expected, (parts, n_max)
+
+
+def test_matches_inplace_dp_at_the_real_chunk_boundaries():
+    parts = (3, 7, 101, 1000)
+    for n_max in (CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK):
+        expected = inplace_dp_counts(parts, n_max)
+        assert build_counts(parts, n_max).tolist() == expected, n_max
+    assert _streamed(parts, 2 * CHUNK) == expected
+
+
+def test_parts_larger_than_a_chunk(small_chunks):
+    # the early chunks of a stream that starts at 4 entries are shorter than
+    # every part but 3; the table widens its chunks to the largest part
+    parts = (3, 50, 130, 41)
+    for n_max in (129, 130, 131, 400, 777):
+        expected = inplace_dp_counts(parts, n_max)
+        assert _streamed(parts, n_max, 4) == expected, n_max
+        assert build_counts(parts, n_max).tolist() == expected, n_max
+
+
+def test_stream_chunks_double_from_the_first():
+    sizes = [chunk.size for _, chunk in stream_counts((2, 3), 10 * CHUNK, 1000)]
+    assert sizes[:3] == [1000, 2000, 4000]
+    assert max(sizes) == CHUNK and sum(sizes) == 10 * CHUNK + 1
+
+
+def test_parts_past_n_max_are_skipped(small_chunks):
+    for n_max in (40, 99):
+        expected = inplace_dp_counts((2, 7), n_max)
+        assert build_counts((2, 7, 100, 5000), n_max).tolist() == expected
+        assert _streamed((7, 100, 2), n_max, 3) == expected
+
+
+def test_one_chunk_tables_come_from_the_one_buffer_path(monkeypatch):
+    calls = []
+    one_buffer = _kernel._one_buffer
+    monkeypatch.setattr(_kernel, "_one_buffer", lambda *a: calls.append(a[1]) or one_buffer(*a))
+    build_counts((3, 5), CHUNK - 1)
+    assert _streamed((3, 5), 99) == inplace_dp_counts((3, 5), 99)
+    build_counts((3, 5), CHUNK)
+    assert calls == [CHUNK - 1, 99]
+
+
+def test_random_streams_match_inplace_dp(small_chunks):
+    rng = random.Random(27)
+    for _ in range(150):
+        parts = tuple(rng.randint(1, 70) for _ in range(rng.randint(1, 5)))
+        n_max = rng.randint(0, 400)
+        first = rng.randint(1, 40)
+        expected = inplace_dp_counts(parts, n_max)
+        assert _streamed(parts, n_max, first) == expected, (parts, n_max, first)
+        assert build_counts(parts, n_max).tolist() == expected, (parts, n_max)
+
+
+def test_overflow_in_a_later_chunk(small_chunks):
+    # twenty unit coins: d(n) = binomial(n+19, 19) first leaves int64 at n = 70,
+    # in the fifth chunk; every earlier entry is exact
+    assert math.comb(69 + 19, 19) < 1 << 63 <= math.comb(70 + 19, 19)
+    assert build_counts((1,) * 20, 69).tolist() == [math.comb(n + 19, 19) for n in range(70)]
+    with pytest.raises(RangeOverflowError):
+        build_counts((1,) * 20, 70)
+    with pytest.raises(RangeOverflowError):
+        for _ in stream_counts((1,) * 20, 100, 4):
+            pass
+
+
+def test_overflow_in_the_second_real_chunk():
+    # five unit coins: binomial(n+4, 4) first leaves int64 at n = 121974
+    assert CHUNK < 121974 < 2 * CHUNK
+    counts = build_counts((1,) * 5, 121973)
+    assert int(counts[-1]) == math.comb(121973 + 4, 4)
+    with pytest.raises(RangeOverflowError):
+        build_counts((1,) * 5, 121974)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from math import gcd
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genfrob import _kernel
+from genfrob import _kernel, verify
 from genfrob.cli import main
 from genfrob.denumerant import denumerant
 from genfrob.errors import InvalidInputError
@@ -115,6 +116,15 @@ class TestSuites:
     def test_two_var_reduced_bounds(self):
         report = run_two_var_suite(10, 3)
         assert report.passed and report.cases_run > 100
+
+    @pytest.mark.parametrize("bounds", [{"max_ab": 0}, {"max_ab": -2}, {"max_ab": 5, "max_s": -1}])
+    def test_two_var_rejects_bounds_with_nothing_to_check(self, bounds):
+        with pytest.raises(InvalidInputError):
+            run_two_var_suite(**bounds)
+
+    def test_two_var_smallest_bounds_check_one_pair(self):
+        report = run_two_var_suite(1, 0)
+        assert report.passed and report.cases_run == 2
 
     def test_sampled_mode_is_deterministic(self):
         a = run_lemma3_suite(max_ab=15, max_s=3, max_c=40, samples=25, seed=7)
@@ -230,6 +240,43 @@ def test_perturbed_suites_match_a_per_check_loop(perturb, monkeypatch):
         failures = sorted((f for r in reports for f in r.failures), key=lambda f: f.inputs)
         assert report.failures and report.failures == tuple(failures)
         assert report.cases_run == sum(r.cases_run for r in reports)
+
+
+def _sampled_pair_draws(max_ab, max_s, max_c, samples, seed):
+    """The sampled pair suites' draws, rebuilding the sorted c list at every
+    draw: the reference for the per-tuple list the enumerator keeps."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < samples:
+        a, b = rng.randint(1, max_ab), rng.randint(1, max_ab)
+        if gcd(a, b) != 1:
+            continue
+        choices = sorted({c for p in (a, b) for c in range(p, max_c + 1, p)})
+        if not choices:
+            continue
+        s = rng.randint(0, max_s)
+        draws.append((a, b, s, rng.choice(choices)))
+    return draws
+
+
+def test_sampled_draws_match_a_list_per_draw():
+    bounds = dict(max_ab=5, max_s=0, max_c=200_000, samples=20, seed=1)
+    draws = _sampled_pair_draws(**bounds)
+    assert len({(a, b) for a, b, *_ in draws}) < len(draws)  # some tuple is drawn twice
+    reports = [check_lemma3(*draw) for draw in draws]
+    report = run_lemma3_suite(**bounds)
+    assert report.passed and all(r.passed for r in reports)
+    assert report.cases_run == sum(r.cases_run for r in reports)
+
+    def draw(rng):
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        return (a, b) if gcd(a, b) == 1 else None
+
+    for max_c in (3, 40, 1000):  # at 3, tuples with no c <= 3 are redrawn
+        expected = {}
+        for a, b, s, c in _sampled_pair_draws(9, 3, max_c, 60, 5):
+            expected.setdefault((a, b), []).append((s, c))
+        assert verify._enumerate(None, 3, max_c, 60, 5, draw) == expected
 
 
 class TestSampledBounds:
