@@ -59,8 +59,8 @@ def stream_counts(parts, n_max, first=CHUNK):
     outlive the step.  A table of at most ``first`` entries comes as one
     chunk built in one buffer; otherwise the first chunk has ``first``
     entries and each later one twice its predecessor's, up to
-    ``max(CHUNK, CHUNK_ROWS * largest part <= n_max)``.  Wraparound raises :class:`RangeOverflowError` at the
-    chunk where it first happens.
+    ``max(CHUNK, CHUNK_ROWS * largest part <= n_max)``.  Wraparound raises
+    :class:`RangeOverflowError` at the chunk where it first happens.
     """
     parts = [int(part) for part in parts]
     if n_max < first:
@@ -115,7 +115,7 @@ def _chunks(parts, n_max, first):
         raise ValueError("parts must be positive")
     active = [a for a in parts if a <= n_max]
     top = max(active, default=1)
-    size = max(CHUNK, CHUNK_ROWS * top, first)
+    size = min(max(CHUNK, CHUNK_ROWS * top, first), n_max + 1)
     # [top entries of carry room | the chunk | top entries of padding]: stage
     # a's view starts a entries below the chunk and ends in a ragged last
     # row, whose padding entries hold scratch that feeds only themselves

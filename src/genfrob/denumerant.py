@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import _kernel
 from .errors import CapacityError, InvalidInputError, InvariantError, RangeOverflowError
-from .exactint import floor_sum, gcd, gcd_fold, require_i64
+from .exactint import I64_MAX, floor_sum, gcd, gcd_fold, require_i64
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,10 +203,10 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
     for lo, chunk in _kernel.stream_counts(parts[:i] + parts[i + 1 :], n):
         sums = np.cumsum(chunk[(n - lo) % a :: a])
         if sums.size:
-            if sums[sums.argmin()] < 0:
-                raise RangeOverflowError(f"d({n}; {parts}) exceeds int64")
             total += int(sums[-1])
-    return require_i64(total, "denumerant")
+            if sums[sums.argmin()] < 0 or total > I64_MAX:
+                raise RangeOverflowError(f"d({n}; {parts}) exceeds int64")
+    return total
 
 
 def _split_large(n: int, parts: tuple[int, ...]) -> int:

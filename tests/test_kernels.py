@@ -124,6 +124,23 @@ def test_parts_larger_than_a_chunk(small_chunks):
         assert build_counts(parts, n_max).tolist() == expected, n_max
 
 
+def test_a_large_part_widens_chunks_only_up_to_the_table():
+    import tracemalloc
+
+    # chunks span CHUNK_ROWS rows of the largest part, but never more than
+    # the table: 64 rows of 200,000 would be 102 MB.  The table, the chunk
+    # buffer with its carry room and the carries take 9.6 MB
+    n_max = 300_000
+    tracemalloc.start()
+    try:
+        counts = build_counts((1, 200_000), n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == inplace_dp_counts((1, 200_000), n_max)
+    assert peak < 6 * 8 * (n_max + 1)
+
+
 def test_stream_chunks_double_from_the_first():
     sizes = [chunk.size for _, chunk in stream_counts((2, 3), 10 * CHUNK, 1000)]
     assert sizes[:3] == [1000, 2000, 4000]
