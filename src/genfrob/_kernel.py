@@ -7,10 +7,7 @@ an ``add.accumulate`` down the rows of a ``(rows, a)``-shaped view.
 A table of fewer than :data:`CHUNK` entries lives in one buffer padded by
 ``max part - 1`` scratch entries, so every coin's view is a plain reshape of
 a prefix: no per-pass copy.  Scratch entries past ``n_max`` only feed later
-scratch entries.  The rows are accumulated in blocks of about :data:`BLOCK`
-entries, carrying the previous block's last row into the next block's
-first, so each column walk stays in cache instead of striding down the
-whole table.
+scratch entries.
 
 Larger tables are streamed chunk-major (:func:`stream_counts`): a chunk of
 entries passes every coin while it is still in cache, and only the finished
@@ -25,13 +22,9 @@ numpy loads with the first table (see the denumerant module docstring).
 
 from .errors import RangeOverflowError
 
-# entries per accumulated block: 256 KiB of int64, sized to stay in a per-core L2 cache
-BLOCK = 1 << 15
-# entries per streamed chunk, and the smallest table that is streamed
-CHUNK = 2 * BLOCK
-# a streamed chunk spans at least this many rows of the largest part, so the
-# per-column overhead of each accumulate stays small against its work
-CHUNK_ROWS = 64
+# entries per streamed chunk, and the smallest table that is streamed:
+# 512 KiB of int64, sized to stay in a per-core L2 cache
+CHUNK = 1 << 16
 
 
 def build_counts(parts, n_max):
@@ -56,14 +49,14 @@ def stream_counts(parts, n_max, first=CHUNK):
 
     ``chunk`` holds the counts of ``lo .. lo + len(chunk) - 1``.  It is a
     view into a buffer that the next chunk overwrites, so copy what must
-    outlive the step.  A table of at most ``first`` entries comes as one
-    chunk built in one buffer; otherwise the first chunk has ``first``
-    entries and each later one twice its predecessor's, up to
-    ``max(CHUNK, CHUNK_ROWS * largest part <= n_max)``.  Wraparound raises
+    outlive the step.  A table of at most ``first`` entries and fewer than
+    :data:`CHUNK` comes as one chunk built in one buffer; otherwise the
+    first chunk has ``min(first, CHUNK)`` entries and each later one twice
+    its predecessor's, up to :data:`CHUNK`.  Wraparound raises
     :class:`RangeOverflowError` at the chunk where it first happens.
     """
     parts = [int(part) for part in parts]
-    if n_max < first:
+    if n_max < min(first, CHUNK):
         yield 0, _one_buffer(parts, n_max)
     else:
         yield from _chunks(parts, n_max, first)
@@ -83,11 +76,7 @@ def _one_buffer(parts, n_max):
             continue
         rows = -(-(n_max + 1) // a)
         view = buf[: rows * a].reshape(rows, a)
-        step = BLOCK // a or 1
-        if rows <= step:  # one block: skip the blocked loop's set-up
-            np.add.accumulate(view, axis=0, out=view)
-        else:
-            _accumulate_blocks(view, step)
+        np.add.accumulate(view, axis=0, out=view)
         # the same test as counts.min() < 0; argmin skips the Python-level
         # wrapper around min, a microsecond a pass on tiny tables
         if counts[counts.argmin()] < 0:
@@ -95,27 +84,15 @@ def _one_buffer(parts, n_max):
     return counts
 
 
-def _accumulate_blocks(view, step):
-    """In place, ``step`` rows at a time: each row of ``view`` becomes the
-    sum of itself and all rows above it."""
-    import numpy as np
-
-    np.add.accumulate(view[:step], axis=0, out=view[:step])
-    for top in range(step, view.shape[0], step):
-        block = view[top : top + step]
-        block[0] += view[top - 1]
-        np.add.accumulate(block, axis=0, out=block)
-
-
 def _chunks(parts, n_max, first):
-    """The chunk-major stream behind :func:`stream_counts`, for n_max >= first."""
+    """The chunk-major stream behind :func:`stream_counts`."""
     import numpy as np
 
     if min(parts, default=1) < 1:
         raise ValueError("parts must be positive")
     active = [a for a in parts if a <= n_max]
     top = max(active, default=1)
-    size = min(max(CHUNK, CHUNK_ROWS * top, first), n_max + 1)
+    size = min(CHUNK, n_max + 1)
     # [top entries of carry room | the chunk | top entries of padding]: stage
     # a's view starts a entries below the chunk and ends in a ragged last
     # row, whose padding entries hold scratch that feeds only themselves
@@ -125,7 +102,7 @@ def _chunks(parts, n_max, first):
     def views(length):
         return [buf[top - a : top + -(-length // a) * a].reshape(-1, a) for a in active]
 
-    lo, length, full = 0, first, None
+    lo, length, full = 0, min(first, size), None
     while lo <= n_max:
         length = min(length, n_max + 1 - lo)
         if length == size:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernel
-from .denumerant import Coins, DenumerantTable, table_capacity
+from .denumerant import DEFAULT_MAX_TABLE, Coins, DenumerantTable, table_capacity
 from .errors import CapacityError, InvalidInputError
 from .exactint import gcd, gcd_fold, require_i64
 
@@ -164,16 +164,23 @@ def _stream_search(parts, s_top: int, window: int, hard_limit: int, cap: int, fi
     index with a count <= s_top in it.
 
     The kernel streams chunks, ``first`` entries and doubling, into one
-    array of ``hard_limit + 1`` entries.  Its pages are mapped only as
-    chunks land in them, so the entries past the window cost nothing, and
-    no entry is computed twice.
+    array of up to ``DEFAULT_MAX_TABLE`` entries.  Its pages are mapped
+    only as chunks land in them, so the entries past the window cost
+    nothing.  Under a raised capacity a stream that passes the array moves
+    into one of twice the size, with one copy of the entries so far.  The
+    stream starts again at entry 0, so the first table's entries are
+    computed twice.
     """
     import numpy as np
 
-    table = np.empty(hard_limit + 1, dtype=np.int64)
+    table = np.empty(min(hard_limit + 1, DEFAULT_MAX_TABLE), dtype=np.int64)
     top = -1
     for lo, chunk in _kernel.stream_counts(parts, hard_limit, first):
         hi = lo + chunk.size
+        if hi > table.size:  # a chunk is far shorter than the array
+            grown = np.empty(min(hard_limit + 1, 2 * table.size), dtype=np.int64)
+            grown[:lo] = table[:lo]
+            table = grown
         table[lo:hi] = chunk
         last = _last_at_most(chunk, s_top)
         if last >= 0:

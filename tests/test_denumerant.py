@@ -316,7 +316,6 @@ class TestStreamedResidueSum:
     @pytest.fixture
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(_kernel, "CHUNK", 16)
-        monkeypatch.setattr(_kernel, "CHUNK_ROWS", 1)
 
     @staticmethod
     def _series_residue_sum(parts, n):

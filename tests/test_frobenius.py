@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genfrob import _kernel
+from genfrob import _kernel, frobenius
 from genfrob.denumerant import denumerant
 from genfrob.errors import CapacityError, InvalidInputError
 from genfrob.frobenius import (
@@ -235,12 +235,11 @@ class TestStreamedSearch:
     @pytest.fixture
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(_kernel, "CHUNK", 16)
-        monkeypatch.setattr(_kernel, "CHUNK_ROWS", 1)
 
     def test_recorded_values_over_many_chunks(self, small_chunks):
         # size_hint=1 makes the first table min(A) entries long, so every
-        # search with a window past it streams chunks of 2 * (min(A) + 1)
-        # entries, doubling up to 16 or the largest part
+        # search with a window past it streams chunks from 2 * (min(A) + 1)
+        # entries, doubling, but never past 16
         streamed = 0
         for entry in BRUTE_VALUES:
             parts, recorded = tuple(entry["parts"]), entry["g"]
@@ -282,6 +281,30 @@ class TestStreamedSearch:
         assert values == [g, *last] and last[0] == 13
         assert not table.counts.flags.writeable
         assert table.n_max >= g + 5
+        assert table.counts[: len(counts)].tolist() == counts[: table.n_max + 1]
+
+    def test_a_raised_capacity_reserves_no_larger_table(self):
+        import tracemalloc
+
+        # a capacity of 8 TB of entries: the search still reserves at most
+        # DEFAULT_MAX_TABLE entries (80 MB, of which it touches 1.3 MB)
+        g, _ = self._expected()
+        tracemalloc.start()
+        try:
+            value = gen_frobenius_brute(self.PARTS, self.S, max_table=10**12).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == g
+        assert peak < 8 * frobenius.DEFAULT_MAX_TABLE + (8 << 20)
+
+    def test_the_table_grows_past_its_reservation(self, monkeypatch):
+        # a 50,000-entry reservation doubles twice on the way to g + 5
+        g, counts = self._expected()
+        monkeypatch.setattr(frobenius, "DEFAULT_MAX_TABLE", 50_000)
+        values, table = gen_frobenius_brute_many(self.PARTS, [self.S, 1000], max_table=10**12)
+        assert values == [g, max(n for n, d in enumerate(counts) if d <= 1000)]
+        assert table.n_max >= g + 5 > 100_000
         assert table.counts[: len(counts)].tolist() == counts[: table.n_max + 1]
 
     def test_capacity_error_at_the_same_entry_count(self, monkeypatch):

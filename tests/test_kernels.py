@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genfrob import _kernel
-from genfrob._kernel import BLOCK, CHUNK, build_counts, stream_counts
+from genfrob._kernel import CHUNK, build_counts, stream_counts
 from genfrob.errors import RangeOverflowError
 from oracles import inplace_dp_counts, naive_denumerant
 
@@ -47,11 +47,11 @@ def test_matches_naive_oracle(parts, n_max):
 @pytest.mark.parametrize(
     "parts, n_max",
     [
-        # several blocks per pass, so every block boundary carries a row;
-        # 100_001 entries leave a ragged last row for each part
+        # two chunks, so every chunk boundary carries a row; 100_001
+        # entries leave a ragged last row for each part
         ((3, 7, 5000), 100_000),
-        # parts of at least BLOCK entries: one row per block
-        ((BLOCK + 3, 2, 2 * BLOCK + 1, BLOCK), 3 * BLOCK + 10),
+        # parts of half a chunk and more: one row per chunk, or less
+        ((CHUNK // 2 + 3, 2, CHUNK + 1, CHUNK // 2), 3 * CHUNK // 2 + 10),
         # a part equal to n_max, and one past it
         ((5, 11, 4099, 4100), 4099),
     ],
@@ -63,7 +63,7 @@ def test_matches_inplace_dp(parts, n_max):
 def test_matches_inplace_dp_on_random_multi_block_tables():
     rng = random.Random(4)
     for _ in range(10):
-        n_max = rng.randint(BLOCK, 4 * BLOCK)
+        n_max = rng.randint(CHUNK // 2, 2 * CHUNK)
         parts = (rng.randint(1, 40), rng.randint(41, 3000), rng.randint(3000, n_max + 10))
         assert build_counts(parts, n_max).tolist() == inplace_dp_counts(parts, n_max)
 
@@ -80,10 +80,8 @@ def test_overflow_detected():
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Chunks of 16 entries, widened only to the largest part, so short
-    tables cross many chunk boundaries."""
+    """Chunks of 16 entries, so short tables cross many chunk boundaries."""
     monkeypatch.setattr(_kernel, "CHUNK", 16)
-    monkeypatch.setattr(_kernel, "CHUNK_ROWS", 1)
     return 16
 
 
@@ -115,30 +113,12 @@ def test_matches_inplace_dp_at_the_real_chunk_boundaries():
 
 
 def test_parts_larger_than_a_chunk(small_chunks):
-    # the early chunks of a stream that starts at 4 entries are shorter than
-    # every part but 3; the table widens its chunks to the largest part
+    # every chunk is shorter than every part but 3
     parts = (3, 50, 130, 41)
     for n_max in (129, 130, 131, 400, 777):
         expected = inplace_dp_counts(parts, n_max)
         assert _streamed(parts, n_max, 4) == expected, n_max
         assert build_counts(parts, n_max).tolist() == expected, n_max
-
-
-def test_a_large_part_widens_chunks_only_up_to_the_table():
-    import tracemalloc
-
-    # chunks span CHUNK_ROWS rows of the largest part, but never more than
-    # the table: 64 rows of 200,000 would be 102 MB.  The table, the chunk
-    # buffer with its carry room and the carries take 9.6 MB
-    n_max = 300_000
-    tracemalloc.start()
-    try:
-        counts = build_counts((1, 200_000), n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts.tolist() == inplace_dp_counts((1, 200_000), n_max)
-    assert peak < 6 * 8 * (n_max + 1)
 
 
 def test_stream_chunks_double_from_the_first():
