@@ -11,8 +11,8 @@ The streamed paths report the best of ``--repeat`` calls too: a 4-part
 count, which sums the streamed table of the other three parts and also
 reports its tracemalloc peak, and a brute-force search whose first
 1024-entry table holds no window, so it streams about 2.5M entries.  The
-search's peak is not reported: tracemalloc counts its preallocated table in
-full, though only the pages the stream writes are ever mapped.
+search's peak is not reported: tracemalloc counts its reserved array of up to
+10^7 entries in full, though only the pages the stream writes are ever mapped.
 """
 
 import argparse

@@ -17,7 +17,8 @@ carry.  Placed just below the chunk, the carry is row 0 of the same
 across the chunk boundary.  A stream holds O(chunk + sum of parts) entries
 whatever its length, and a consumer may stop it early.
 
-numpy loads with the first table (see the denumerant module docstring).
+This module and numpy load with the first table (see the denumerant module
+docstring).
 """
 
 from .errors import RangeOverflowError
