@@ -180,8 +180,8 @@ def _stream_search(parts, s_top: int, window: int, hard_limit: int, cap: int, fi
     top = -1
     for lo, chunk in _kernel.stream_counts(parts, hard_limit, first):
         hi = lo + chunk.size
-        if hi > table.size:  # a chunk is far shorter than the array
-            grown = np.empty(min(hard_limit + 1, 2 * table.size), dtype=np.int64)
+        if hi > table.size:
+            grown = np.empty(min(hard_limit + 1, max(hi, 2 * table.size)), dtype=np.int64)
             grown[:lo] = table[:lo]
             table = grown
         table[lo:hi] = chunk
