@@ -17,8 +17,7 @@ carry.  Placed just below the chunk, the carry is row 0 of the same
 across the chunk boundary.  A stream holds O(chunk + sum of parts) entries
 whatever its length, and a consumer may stop it early.
 
-This module and numpy load with the first table (see the denumerant module
-docstring).
+numpy loads with the first table (see the denumerant module docstring).
 """
 
 from .errors import RangeOverflowError

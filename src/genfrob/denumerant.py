@@ -8,10 +8,10 @@ it is summed in closed form, O(log n); for more it is summed over the DP
 table of the other parts as that table streams past, chunk by chunk).  All
 strategies agree exactly; counts are 64-bit with overflow signalled.
 
-numpy and the counting kernel load with the first table: this module and
-``frobenius`` import both inside the functions that build or read tables,
-and ``closedform`` imports numpy the same way, so the closed-form paths
-(two and three parts, sigma indices, closed g values) never import them.
+numpy loads with the first table: this module, ``frobenius`` and
+``closedform`` import it inside the functions that build or read arrays,
+so the closed-form paths (two and three parts, sigma indices, closed g
+values) never import it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _kernel
 from .errors import CapacityError, InvalidInputError, InvariantError, RangeOverflowError
 from .exactint import I64_MAX, floor_sum, gcd, gcd_fold, require_i64
 
@@ -131,8 +132,6 @@ def denumerant_series(coins, n_max: int, *, max_table: int | None = None) -> Den
     cap = table_capacity(max_table)
     if n_max + 1 > cap:
         raise CapacityError(f"table of {n_max + 1} entries exceeds capacity {cap}")
-    from . import _kernel  # a table path: see the module docstring
-
     counts = _kernel.build_counts(coins.parts, n_max)
     counts.setflags(write=False)
     return DenumerantTable(coins, counts)
@@ -195,8 +194,6 @@ def denumerant(n: int, coins, *, max_table: int | None = None) -> int:
     i = max(range(len(parts)), key=lambda idx: parts[idx])
     a = parts[i]
     import numpy as np  # a table path: see the module docstring
-
-    from . import _kernel
 
     # d(n) = sum_j d(n - j*a; rest), summed chunk by chunk as the table of
     # the other parts streams past, so no n-entry array is ever held.  The

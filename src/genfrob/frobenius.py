@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernel
 from .denumerant import DEFAULT_MAX_TABLE, Coins, DenumerantTable, table_capacity
 from .errors import CapacityError, InvalidInputError
 from .exactint import gcd, gcd_fold, require_i64
@@ -108,8 +109,6 @@ def gen_frobenius_brute_many(
     """
     import numpy as np  # a table path: see the denumerant module docstring
 
-    from . import _kernel
-
     coins = Coins.of(coins)
     if coins.overall_gcd != 1:
         raise InvalidInputError("g(A; s) requires overall gcd 1")
@@ -173,8 +172,6 @@ def _stream_search(parts, s_top: int, window: int, hard_limit: int, cap: int, fi
     computed twice.
     """
     import numpy as np
-
-    from . import _kernel
 
     table = np.empty(min(hard_limit + 1, DEFAULT_MAX_TABLE), dtype=np.int64)
     top = -1

@@ -56,17 +56,6 @@ assert genfrob.KERNEL_BACKEND == "python"
     assert _fresh(code) == []
 
 
-def test_closed_form_counts_load_no_kernel():
-    # without written bytecode, every module imported at start-up is compiled
-    code = """
-import sys
-import genfrob
-assert genfrob.denumerant(120, (10, 15, 21)) == 6
-assert "genfrob._kernel" not in sys.modules
-"""
-    assert _fresh(code) == []
-
-
 @pytest.mark.parametrize(
     "argv, stdout",
     [
